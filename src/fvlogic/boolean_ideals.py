@@ -12,18 +12,13 @@ from __future__ import annotations
 
 import itertools
 import random
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 Label = Hashable
 
 MAX_OMEGA = 6
-
-
-def _fset(items: Iterable) -> frozenset:
-    return frozenset(items)
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,7 @@ def close_ideal(omega: Sequence[Label], generators: Iterable[Iterable[Label]]) -
         sstar |= g
     if sstar == set(omega):
         raise ValueError("improper ideal: generators cover the ground set")
-    members = _fset(_subsets(tuple(g for g in omega if g in sstar)))
+    members = frozenset(_subsets(tuple(g for g in omega if g in sstar)))
     return IdealSpec(omega, members)
 
 
@@ -147,51 +142,20 @@ class QuotientBA:
         object.__setattr__(self, "core", core)
         elems = []
         for mask in range(1 << len(core)):
-            elems.append(_fset(core[i] for i in range(len(core)) if mask >> i & 1))
+            elems.append(frozenset(core[i] for i in range(len(core)) if mask >> i & 1))
         object.__setattr__(self, "elements", tuple(elems))
         object.__setattr__(self, "zero", frozenset())
-        object.__setattr__(self, "one", _fset(core))
+        object.__setattr__(self, "one", frozenset(core))
 
     def class_of(self, X: Iterable[Label]) -> frozenset:
         X = set(X)
         if not X <= set(self.ideal.omega):
             raise ValueError(f"{X} is not a subset of the ground set")
-        return _fset(x for x in self.core if x in X)
-
-    def meet(self, a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    def join(self, a: frozenset, b: frozenset) -> frozenset:
-        return a | b
-
-    def compl(self, a: frozenset) -> frozenset:
-        return self.one - a
+        return frozenset(x for x in self.core if x in X)
 
 
 def quotient(ideal: IdealSpec) -> QuotientBA:
     return QuotientBA(ideal)
-
-
-def check_ba_laws(B: QuotientBA) -> Optional[str]:
-    """Exhaustively verify the Boolean algebra axioms; None if all hold."""
-    E = B.elements
-    if B.zero == B.one:
-        return "0 = 1 (degenerate algebra)"
-    for a in E:
-        if B.join(a, B.compl(a)) != B.one or B.meet(a, B.compl(a)) != B.zero:
-            return f"complement laws fail at {set(a)}"
-        if B.join(a, B.zero) != a or B.meet(a, B.one) != a:
-            return f"identity laws fail at {set(a)}"
-    for a in E:
-        for b in E:
-            if B.meet(a, b) != B.meet(b, a) or B.join(a, b) != B.join(b, a):
-                return "commutativity fails"
-            for c in E:
-                if B.meet(a, B.join(b, c)) != B.join(B.meet(a, b), B.meet(a, c)):
-                    return "distributivity fails"
-                if B.meet(a, B.meet(b, c)) != B.meet(B.meet(a, b), c):
-                    return "associativity fails"
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -320,6 +284,7 @@ class GuardedExists:
 
 
 BooleanFormula = Union[TermEq, TermLe, NotZero, BAnd, BOr, BNot, BImp, BExists, BForall, GuardedExists]
+BNode = Union[BTerm, BooleanFormula]
 
 
 def b_true() -> BooleanFormula:
@@ -330,44 +295,96 @@ def b_false() -> BooleanFormula:
     return BNot(TermEq(BOne(), BOne()))
 
 
+# Each Boolean node class with its to_prefix keyword and its child
+# fields, in print order. "args" holds a tuple of children and "bounds" a
+# guarded block's (meet variables, term) pairs; binder names are not
+# children. BVar prints its name, and a guarded block prints as its raw
+# expansion.
+_NODES: dict[type, tuple[str, tuple[str, ...]]] = {
+    BVar: ("", ()),
+    BZero: ("0", ()),
+    BOne: ("1", ()),
+    BMeet: ("meet", ("left", "right")),
+    BJoin: ("join", ("left", "right")),
+    BCompl: ("compl", ("arg",)),
+    TermEq: ("eq", ("left", "right")),
+    TermLe: ("le", ("left", "right")),
+    NotZero: ("ne0", ("arg",)),
+    BAnd: ("and", ("args",)),
+    BOr: ("or", ("args",)),
+    BNot: ("not", ("arg",)),
+    BImp: ("imp", ("left", "right")),
+    BExists: ("exists", ("body",)),
+    BForall: ("forall", ("body",)),
+    GuardedExists: ("", ("bounds", "body")),
+}
+
+# atomic formulas: the leaves of a formula's connective structure
+ATOMS = (TermEq, TermLe, NotZero)
+
+
+def _node(g: BNode) -> tuple[str, tuple[str, ...]]:
+    try:
+        return _NODES[type(g)]
+    except KeyError:
+        raise TypeError(f"unknown Boolean node {g!r}") from None
+
+
+def _children(g: BNode) -> list:
+    """The direct subnodes of g, in print order, without building any
+    but the BVar leaves that stand for a guarded bound's meet variables."""
+    out: list = []
+    for name in _node(g)[1]:
+        value = getattr(g, name)
+        if name == "args":
+            out += value
+        elif name == "bounds":
+            for meet_vars, t in value:
+                out += map(BVar, meet_vars)
+                out.append(t)
+        else:
+            out.append(value)
+    return out
+
+
+def _map_children(g: BNode, fn) -> BNode:
+    """g rebuilt with fn applied to each child; meet variables are names,
+    not terms, and stay as they are."""
+    names = _node(g)[1]
+    if not names:
+        return g
+    new = {}
+    for name in names:
+        value = getattr(g, name)
+        if name == "args":
+            new[name] = tuple(map(fn, value))
+        elif name == "bounds":
+            new[name] = tuple((meet_vars, fn(t)) for meet_vars, t in value)
+        else:
+            new[name] = fn(value)
+    return replace(g, **new)
+
+
+def _binders(g: BNode) -> tuple[str, ...]:
+    """Variables that g binds in all of its children."""
+    if isinstance(g, (BExists, BForall)):
+        return (g.var,)
+    return g.zvars if isinstance(g, GuardedExists) else ()
+
+
 def free_bvars(f: BooleanFormula) -> tuple[str, ...]:
     """Free variables in first-occurrence order."""
-    out: list[str] = []
+    out: dict[str, None] = {}
 
-    def term(t: BTerm, bound: frozenset) -> None:
-        if isinstance(t, BVar):
-            if t.name not in bound and t.name not in out:
-                out.append(t.name)
-        elif isinstance(t, (BMeet, BJoin)):
-            term(t.left, bound)
-            term(t.right, bound)
-        elif isinstance(t, BCompl):
-            term(t.arg, bound)
-
-    def walk(g: BooleanFormula, bound: frozenset) -> None:
-        if isinstance(g, (TermEq, TermLe)):
-            term(g.left, bound)
-            term(g.right, bound)
-        elif isinstance(g, NotZero):
-            term(g.arg, bound)
-        elif isinstance(g, (BAnd, BOr)):
-            for a in g.args:
-                walk(a, bound)
-        elif isinstance(g, BNot):
-            walk(g.arg, bound)
-        elif isinstance(g, BImp):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (BExists, BForall)):
-            walk(g.body, bound | {g.var})
-        elif isinstance(g, GuardedExists):
-            inner = bound | set(g.zvars)
-            for meet_vars, b in g.bounds:
-                for v in meet_vars:
-                    if v not in inner and v not in out:
-                        out.append(v)
-                term(b, inner)
-            walk(g.body, inner)
+    def walk(g, bound: frozenset) -> None:
+        if isinstance(g, BVar):
+            if g.name not in bound:
+                out.setdefault(g.name)
+            return
+        names = _binders(g)
+        inner = bound.union(names) if names else bound
+        for c in _children(g):
+            walk(c, inner)
 
     walk(f, frozenset())
     return tuple(out)
@@ -377,104 +394,34 @@ def subst_bvars(f: BooleanFormula, table: Mapping[str, BTerm]) -> BooleanFormula
     """Replace free variables by terms. The table must not mention any
     bound variable name (the translator's z-numbering guarantees this)."""
 
-    def term(t: BTerm, shadow: frozenset) -> BTerm:
-        if isinstance(t, BVar):
-            if t.name in table and t.name not in shadow:
-                return table[t.name]
-            return t
-        if isinstance(t, BMeet):
-            return BMeet(term(t.left, shadow), term(t.right, shadow))
-        if isinstance(t, BJoin):
-            return BJoin(term(t.left, shadow), term(t.right, shadow))
-        if isinstance(t, BCompl):
-            return BCompl(term(t.arg, shadow))
-        return t
-
-    def walk(g: BooleanFormula, shadow: frozenset) -> BooleanFormula:
-        if isinstance(g, TermEq):
-            return TermEq(term(g.left, shadow), term(g.right, shadow))
-        if isinstance(g, TermLe):
-            return TermLe(term(g.left, shadow), term(g.right, shadow))
-        if isinstance(g, NotZero):
-            return NotZero(term(g.arg, shadow))
-        if isinstance(g, BAnd):
-            return BAnd(tuple(walk(a, shadow) for a in g.args))
-        if isinstance(g, BOr):
-            return BOr(tuple(walk(a, shadow) for a in g.args))
-        if isinstance(g, BNot):
-            return BNot(walk(g.arg, shadow))
-        if isinstance(g, BImp):
-            return BImp(walk(g.left, shadow), walk(g.right, shadow))
-        if isinstance(g, BExists):
-            return BExists(g.var, walk(g.body, shadow | {g.var}))
-        if isinstance(g, BForall):
-            return BForall(g.var, walk(g.body, shadow | {g.var}))
-        if isinstance(g, GuardedExists):
-            inner = shadow | set(g.zvars)
-            new_bounds = tuple((meet_vars, term(b, inner)) for meet_vars, b in g.bounds)
-            return GuardedExists(g.zvars, new_bounds, walk(g.body, inner))
-        raise TypeError(f"unknown Boolean node {g!r}")
+    def walk(g, shadow: frozenset):
+        if isinstance(g, BVar):
+            return table[g.name] if g.name in table and g.name not in shadow else g
+        names = _binders(g)
+        inner = shadow.union(names) if names else shadow
+        return _map_children(g, lambda c: walk(c, inner))
 
     return walk(f, frozenset())
 
 
 def expand_guarded(f: BooleanFormula) -> BooleanFormula:
     """Recursively replace every guarded block by its raw expansion."""
-    if isinstance(f, (TermEq, TermLe, NotZero)):
-        return f
-    if isinstance(f, BAnd):
-        return BAnd(tuple(expand_guarded(a) for a in f.args))
-    if isinstance(f, BOr):
-        return BOr(tuple(expand_guarded(a) for a in f.args))
-    if isinstance(f, BNot):
-        return BNot(expand_guarded(f.arg))
-    if isinstance(f, BImp):
-        return BImp(expand_guarded(f.left), expand_guarded(f.right))
-    if isinstance(f, BExists):
-        return BExists(f.var, expand_guarded(f.body))
-    if isinstance(f, BForall):
-        return BForall(f.var, expand_guarded(f.body))
     if isinstance(f, GuardedExists):
         return expand_guarded(f.expand_raw())
-    raise TypeError(f"unknown Boolean node {f!r}")
+    if isinstance(f, ATOMS):
+        return f
+    return _map_children(f, expand_guarded)
 
 
-def to_prefix(f: Union[BooleanFormula, BTerm]) -> str:
+def to_prefix(f: BNode) -> str:
     """Serialize in prefix notation; guarded blocks expand to plain
     existentials so the output uses only the core grammar."""
+    if isinstance(f, GuardedExists):
+        f = f.expand_raw()
     if isinstance(f, BVar):
         return f.name
-    if isinstance(f, BZero):
-        return "0"
-    if isinstance(f, BOne):
-        return "1"
-    if isinstance(f, BMeet):
-        return f"(meet {to_prefix(f.left)} {to_prefix(f.right)})"
-    if isinstance(f, BJoin):
-        return f"(join {to_prefix(f.left)} {to_prefix(f.right)})"
-    if isinstance(f, BCompl):
-        return f"(compl {to_prefix(f.arg)})"
-    if isinstance(f, TermEq):
-        return f"(eq {to_prefix(f.left)} {to_prefix(f.right)})"
-    if isinstance(f, TermLe):
-        return f"(le {to_prefix(f.left)} {to_prefix(f.right)})"
-    if isinstance(f, NotZero):
-        return f"(ne0 {to_prefix(f.arg)})"
-    if isinstance(f, BAnd):
-        return f"(and {' '.join(to_prefix(a) for a in f.args)})"
-    if isinstance(f, BOr):
-        return f"(or {' '.join(to_prefix(a) for a in f.args)})"
-    if isinstance(f, BNot):
-        return f"(not {to_prefix(f.arg)})"
-    if isinstance(f, BImp):
-        return f"(imp {to_prefix(f.left)} {to_prefix(f.right)})"
-    if isinstance(f, BExists):
-        return f"(exists {f.var} {to_prefix(f.body)})"
-    if isinstance(f, BForall):
-        return f"(forall {f.var} {to_prefix(f.body)})"
-    if isinstance(f, GuardedExists):
-        return to_prefix(f.expand_raw())
-    raise TypeError(f"unknown Boolean node {f!r}")
+    parts = [_node(f)[0], *_binders(f), *map(to_prefix, _children(f))]
+    return f"({' '.join(parts)})" if len(parts) > 1 else parts[0]
 
 
 # --------------------------------------------------------------------------
@@ -680,7 +627,7 @@ def is_monotone(
     core = list(B.core)
     for _ in range(samples):
         lo = {v: elems[rng.randrange(len(elems))] for v in names}
-        hi = {v: lo[v] | _fset(a for a in core if rng.random() < 0.5) for v in names}
+        hi = {v: lo[v] | frozenset(a for a in core if rng.random() < 0.5) for v in names}
         if ba_eval(B, f, lo) and not ba_eval(B, f, hi):
             return False
     return True
@@ -698,11 +645,11 @@ def fubini(ideal1: IdealSpec, ideal2: IdealSpec) -> IdealSpec:
         raise ValueError(f"product ground set exceeds {MAX_OMEGA} points")
     members = []
     for mask in range(1 << len(grid)):
-        A = _fset(grid[i] for i in range(len(grid)) if mask >> i & 1)
-        bad_rows = _fset(
+        A = frozenset(grid[i] for i in range(len(grid)) if mask >> i & 1)
+        bad_rows = frozenset(
             i for i in ideal1.omega
-            if _fset(j for j in ideal2.omega if (i, j) in A) not in ideal2.members
+            if frozenset(j for j in ideal2.omega if (i, j) in A) not in ideal2.members
         )
         if bad_rows in ideal1.members:
             members.append(A)
-    return IdealSpec(grid, _fset(members))
+    return IdealSpec(grid, frozenset(members))

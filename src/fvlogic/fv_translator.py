@@ -27,6 +27,7 @@ makes the shifted form exact.
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -34,6 +35,7 @@ from functools import reduce
 from typing import Mapping, Optional, Sequence
 
 from .boolean_ideals import (
+    ATOMS,
     BAnd,
     BCompl,
     BNot,
@@ -46,7 +48,8 @@ from .boolean_ideals import (
     NotZero,
     QuotientBA,
     TermEq,
-    TermLe,
+    _children,
+    _map_children,
     b_false,
     ba_eval,
     expand_guarded,
@@ -551,8 +554,6 @@ def pad_shift_check(
     replaces its body's level-0 read by 1. For those sequences the
     padded readings promised are the one-sided implications E and F of
     the module docstring, which certify checks."""
-    import random as _random
-
     N = 2**ds.n
     pad = {yname(j, 0): BOne() for j in range(ds.m)}
     for j in range(ds.m):
@@ -570,7 +571,7 @@ def pad_shift_check(
         if total <= exhaustive_limit:
             combos = itertools.product(B.elements, repeat=len(names))
         else:
-            rng = _random.Random(seed)
+            rng = random.Random(seed)
             combos = (
                 tuple(B.elements[rng.randrange(len(B.elements))] for _ in names)
                 for _ in range(samples)
@@ -587,59 +588,30 @@ def pad_shift_check(
 
 
 def count_atoms(sigma: BooleanFormula) -> int:
-    return _count(expand_guarded(sigma))
+    """Atoms of sigma with guarded blocks expanded, as to_prefix prints them."""
 
+    def count(g: BooleanFormula) -> int:
+        return 1 if isinstance(g, ATOMS) else sum(map(count, _children(g)))
 
-def _count(g: BooleanFormula) -> int:
-    if isinstance(g, (TermEq, TermLe, NotZero)):
-        return 1
-    if isinstance(g, (BAnd, BOr)):
-        return sum(_count(a) for a in g.args)
-    if isinstance(g, BNot):
-        return _count(g.arg)
-    from .boolean_ideals import BExists, BForall, BImp
-
-    if isinstance(g, BImp):
-        return _count(g.left) + _count(g.right)
-    if isinstance(g, (BExists, BForall)):
-        return _count(g.body)
-    raise TypeError(f"unknown Boolean node {g!r}")
+    return count(expand_guarded(sigma))
 
 
 def mutate_sigma(sigma: BooleanFormula, index: int) -> BooleanFormula:
     """Replace the index-th atom (preorder, guarded blocks expanded)
     by its negation; used to confirm certify catches corruption."""
-    from .boolean_ideals import BExists, BForall, BImp
-
-    expanded = expand_guarded(sigma)
-    counter = [0]
+    seen = itertools.count()
 
     def walk(g: BooleanFormula) -> BooleanFormula:
-        if isinstance(g, (TermEq, TermLe, NotZero)):
-            k = counter[0]
-            counter[0] += 1
-            if k != index:
-                return g
-            if isinstance(g, NotZero):
-                return TermEq(g.arg, BZero())
-            return BNot(g)
-        if isinstance(g, BAnd):
-            return BAnd(tuple(walk(a) for a in g.args))
-        if isinstance(g, BOr):
-            return BOr(tuple(walk(a) for a in g.args))
-        if isinstance(g, BNot):
-            return BNot(walk(g.arg))
-        if isinstance(g, BImp):
-            return BImp(walk(g.left), walk(g.right))
-        if isinstance(g, BExists):
-            return BExists(g.var, walk(g.body))
-        if isinstance(g, BForall):
-            return BForall(g.var, walk(g.body))
-        raise TypeError(f"unknown Boolean node {g!r}")
+        if not isinstance(g, ATOMS):
+            return _map_children(g, walk)
+        if next(seen) != index:
+            return g
+        return TermEq(g.arg, BZero()) if isinstance(g, NotZero) else BNot(g)
 
-    out = walk(expanded)
-    if counter[0] <= index:
-        raise ValueError(f"sigma has only {counter[0]} atoms")
+    out = walk(expand_guarded(sigma))
+    atoms = next(seen)
+    if atoms <= index:
+        raise ValueError(f"sigma has only {atoms} atoms")
     return out
 
 

@@ -15,7 +15,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional, Sequence
@@ -25,9 +25,7 @@ from .boolean_ideals import (
     IdealSpec,
     close_ideal,
     ideal_from_json,
-    is_monotone,
     principal_max_ideal,
-    quotient,
     to_prefix,
     trivial_ideal,
 )
@@ -46,7 +44,6 @@ from .structures import (
     evaluate,
     from_json as structure_from_json,
     random_structure,
-    to_json as structure_to_json,
     validate,
 )
 from .syntax import (
@@ -71,7 +68,6 @@ from .syntax import (
     free_vars,
     normalize_restricted,
     parse,
-    parse_fraction,
     signature_from_json,
     to_text,
 )
@@ -916,3 +912,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -12,6 +12,7 @@ through limsup_ideal for an independent cross-check.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
 from .boolean_ideals import IdealSpec, fubini, ideal_from_json, ideal_to_json, limsup_ideal
-from .structures import FiniteStructure, Point, evaluate, from_json as structure_from_json, to_json as structure_to_json, validate
+from .structures import MAX_UNIVERSE, FiniteStructure, Point, evaluate, from_json as structure_from_json, to_json as structure_to_json, validate
 from .syntax import Atomic, Dist, Formula, Signature, free_vars
 
 MAX_PRODUCT_POINTS = 4096
@@ -87,11 +88,12 @@ def reduced_product(fam: Family, max_points: Optional[int] = None) -> ReducedPro
     ideal = fam.ideal
     omega = ideal.omega
     cap = product_cap() if max_points is None else max_points
-    total = 1
-    for g in omega:
-        total *= len(fam.structures[g].universe)
+    total = math.prod(len(fam.structures[g].universe) for g in omega)
     if total > cap:
         raise ValueError(f"product would have {total} points, cap is {cap}")
+    classes = math.prod(len(fam.structures[g].universe) for g in ideal.core)
+    if classes > MAX_UNIVERSE:
+        raise ValueError(f"reduced product would have {classes} classes, at most {MAX_UNIVERSE} are supported")
 
     universes = [fam.structures[g].universe for g in omega]
     points = tuple(itertools.product(*universes))

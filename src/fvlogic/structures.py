@@ -332,12 +332,23 @@ def to_json(s: FiniteStructure) -> dict:
     }
 
 
+def _is_list_of(x: Any, n: int) -> bool:
+    return isinstance(x, list) and len(x) == n
+
+
 def from_json(doc: Mapping, sig: Signature) -> FiniteStructure:
+    """Read a structure document; a document of the wrong shape raises
+    ValueError before any table is built."""
+    if not isinstance(doc["universe"], list):
+        raise ValueError("'universe' must be a list of labels")
     U = tuple(str(a) for a in doc["universe"])
+    rows = doc["dist"]
+    if not (_is_list_of(rows, len(U)) and all(_is_list_of(row, len(U)) for row in rows)):
+        raise ValueError(f"'dist' must be a list of {len(U)} rows of {len(U)} entries")
     dist: dict[tuple[Point, Point], Fraction] = {}
     for i, a in enumerate(U):
         for j, b in enumerate(U):
-            dist[(a, b)] = parse_fraction(doc["dist"][i][j])
+            dist[(a, b)] = parse_fraction(rows[i][j])
 
     def untensor(data: Any, arity: int, conv) -> dict:
         table: dict[tuple, Any] = {}
@@ -346,7 +357,7 @@ def from_json(doc: Mapping, sig: Signature) -> FiniteStructure:
             if len(prefix) == arity:
                 table[prefix] = conv(node)
                 return
-            if len(node) != len(U):
+            if not _is_list_of(node, len(U)):
                 raise ValueError("tensor shape does not match the universe")
             for a, child in zip(U, node):
                 walk(child, prefix + (a,))

@@ -26,9 +26,6 @@ from typing import Mapping, Union
 
 RESERVED_NAMES = frozenset({"sup", "inf", "half", "min", "max", "neg", "const", "d"})
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def parse_fraction(value: Union[str, int, Fraction]) -> Fraction:
     """Read a rational from "p/q" or integer-string or int."""
@@ -297,41 +294,6 @@ def free_vars(f: Formula) -> list[str]:
 
     walk(f, ())
     return out
-
-
-def eval_connective_free(f: Formula, values: Mapping[Formula, Fraction]) -> Fraction:
-    """Evaluate the connective skeleton of `f`.
-
-    Non-connective nodes (atomic formulas, distances, quantified
-    subformulas) are looked up in `values`; every supplied value must lie
-    in [0, 1].
-    """
-    if isinstance(f, Zero):
-        return ZERO
-    if isinstance(f, One):
-        return ONE
-    if isinstance(f, DyadicConst):
-        return Fraction(f.num, 2**f.denom_log2)
-    if isinstance(f, Half):
-        return eval_connective_free(f.body, values) / 2
-    if isinstance(f, Monus):
-        x = eval_connective_free(f.left, values)
-        y = eval_connective_free(f.right, values)
-        return x - y if x >= y else ZERO
-    if isinstance(f, Min):
-        return min(eval_connective_free(f.left, values), eval_connective_free(f.right, values))
-    if isinstance(f, Max):
-        return max(eval_connective_free(f.left, values), eval_connective_free(f.right, values))
-    if isinstance(f, Neg):
-        return ONE - eval_connective_free(f.body, values)
-    try:
-        v = values[f]
-    except KeyError:
-        raise ValueError(f"no value supplied for subformula {to_text(f)}") from None
-    v = Fraction(v)
-    if not (ZERO <= v <= ONE):
-        raise ValueError(f"value {v} for {to_text(f)} is outside [0, 1]")
-    return v
 
 
 # --------------------------------------------------------------------------

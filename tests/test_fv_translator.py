@@ -1,9 +1,11 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
 from fvlogic import fv_translator as fv
+from fvlogic import harness_cli as hc
 from fvlogic.boolean_ideals import (
     BAnd,
     BCompl,
@@ -17,7 +19,10 @@ from fvlogic.boolean_ideals import (
     ba_eval,
     close_ideal,
     expand_guarded,
+    free_bvars,
     quotient,
+    subst_bvars,
+    to_prefix,
     trivial_ideal,
 )
 from fvlogic.fv_translator import (
@@ -464,3 +469,47 @@ def test_mutation_in_guarded_sigma_detected():
             if not certify_sequence(bad, f, fam, {}).ok:
                 hits += 1
     assert hits > 0
+
+
+# --------------------------------------------------------------------------
+# the Boolean walkers agree with each other on translator output
+
+
+def _atom_spans(text):
+    """(start, end) of each printed atom; atoms never nest."""
+    spans = []
+    for m in re.finditer(r"\((?:eq|le|ne0) ", text):
+        depth, i = 0, m.start()
+        while True:
+            depth += {"(": 1, ")": -1}.get(text[i], 0)
+            i += 1
+            if depth == 0:
+                break
+        spans.append((m.start(), i))
+    return spans
+
+
+def test_walkers_agree_on_battery_sigmas():
+    caps = hc.load_caps()
+    sentences = hc.battery(hc.BATTERY_SIG, 3, caps).sentences
+    sigmas = {}
+    for n in (0, 1):
+        for sent in sentences:
+            m, g = translation_cost(sent, n)
+            if m <= caps.max_psis and g <= caps.max_guard_vars:
+                sigmas.update(dict.fromkeys(translate(normalize_restricted(sent), n).sigmas))
+    assert len(sigmas) >= 40
+    for s in sigmas:
+        printed = to_prefix(s)
+        spans = _atom_spans(printed)
+        assert count_atoms(s) == len(spans)
+        assert free_bvars(expand_guarded(s)) == free_bvars(s)
+        assert subst_bvars(s, {}) == s
+        assert to_prefix(expand_guarded(s)) == printed
+        for k, (a, b) in enumerate(spans):
+            atom = printed[a:b]
+            if atom.startswith("(ne0 "):
+                negated = f"(eq {atom[5:-1]} 0)"
+            else:
+                negated = f"(not {atom})"
+            assert to_prefix(mutate_sigma(s, k)) == printed[:a] + negated + printed[b:]

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -342,6 +345,19 @@ def files(tmp_path):
     return tmp_path, sig, s, fam
 
 
+def run_fv(*args):
+    """Run `python -m fvlogic.harness_cli` with args in a subprocess."""
+    src = os.path.dirname(os.path.dirname(hc.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "fvlogic.harness_cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
 def test_cli_translate_roundtrip(files, capsys):
     tmp, sig, _, _ = files
     assert hc.cli(["translate", "--formula", "sup x . P(x)", "--n", "1", "--sig", str(tmp / "sig.json")]) == 0
@@ -372,6 +388,15 @@ def test_cli_translate_rejects_oversize_formula(files):
 def test_cli_translate_parse_error(files):
     tmp = files[0]
     assert hc.cli(["translate", "--formula", "sup x .", "--n", "0", "--sig", str(tmp / "sig.json")]) == 2
+
+
+def test_cli_eval_rejects_scalar_dist(files, tmp_path, capsys):
+    doc = to_json(files[2])
+    doc["dist"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert hc.cli(["eval", "--formula", "0", "--structure", str(bad)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_cli_eval_matches_library(files, capsys):
@@ -422,6 +447,20 @@ def test_cli_rp_power(files, capsys):
     assert len(doc["class_map"]) == 9
 
 
+def test_cli_rp_rejects_too_many_classes(files):
+    # three 4-point coordinates under the trivial ideal: 64 classes, above
+    # the 16-point universe an induced structure may have
+    tmp, sig, _, _ = files
+    ideal = trivial_ideal((1, 2, 3))
+    fam = Family(ideal, {g: random_structure(sig, 4, seed=g) for g in ideal.omega})
+    (tmp / "big.json").write_text(json.dumps(family_to_json(fam)))
+    proc = run_fv("rp", "--family", str(tmp / "big.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "64 classes" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_rp_needs_inputs(files):
     assert hc.cli(["rp"]) == 2
 
@@ -454,6 +493,12 @@ def test_cli_demo(files, capsys):
     assert hc.cli(["demo"]) == 0
     out = capsys.readouterr().out
     assert "prime 5" in out and "ok" in out
+
+
+def test_module_entry_point_runs_demo():
+    proc = run_fv("demo")
+    assert proc.returncode == 0, proc.stderr
+    assert "prime 5" in proc.stdout and "UNEXPECTED" not in proc.stdout
 
 
 def test_cli_usage_errors(files):

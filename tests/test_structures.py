@@ -174,3 +174,19 @@ def test_from_json_rejects_bad_labels():
     doc["consts"]["c"] = "nope"
     with pytest.raises(ValueError):
         st.from_json(doc, SIG)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("dist", 5),
+        ("dist", [["0", "1/4"], ["1/4"]]),
+        ("universe", "p0p1"),
+    ],
+    ids=["scalar-dist", "ragged-dist", "string-universe"],
+)
+def test_from_json_rejects_bad_shapes(field, value):
+    doc = st.to_json(st.random_structure(SIG, 2, seed=1))
+    doc[field] = value
+    with pytest.raises(ValueError, match=field):
+        st.from_json(doc, SIG)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fvlogic import structures as st
 from fvlogic import syntax as sx
 from fvlogic.syntax import (
     Apply,
@@ -130,33 +131,35 @@ def test_normalize_min_neg_max():
 
 
 def test_normalize_preserves_values_exhaustively():
-    # all derived connectives against direct arithmetic on a 1/4 grid
+    # every derived connective on a 1/4 grid, with P(x) and P(y) taking
+    # each grid value: evaluate reads min, max, neg and const directly,
+    # and the normalized formula must take the same value
     grid = [Fraction(k, 4) for k in range(5)]
+    s = st.FiniteStructure(
+        SIG,
+        tuple(range(5)),
+        {(i, j): Fraction(abs(i - j), 4) for i in range(5) for j in range(5)},
+        {
+            "P": {(i,): grid[i] for i in range(5)},
+            "R": {(i, j): Fraction(0) for i in range(5) for j in range(5)},
+        },
+        {"f": {(i,): i for i in range(5)}},
+        {"c": 0},
+    )
+    assert st.validate(s) is None
     a = Atomic("P", (Var("x"),))
     b = Atomic("P", (Var("y"),))
-    for va in grid:
-        for vb in grid:
-            env = {a: va, b: vb}
+    for i, va in enumerate(grid):
+        for j, vb in enumerate(grid):
+            env = {"x": i, "y": j}
             for f, expected in [
                 (Min(a, b), min(va, vb)),
                 (sx.Max(a, b), max(va, vb)),
                 (Neg(a), 1 - va),
                 (DyadicConst(3, 2), Fraction(3, 4)),
             ]:
-                got = sx.eval_connective_free(sx.normalize_restricted(f), env)
-                assert got == expected
-
-
-def test_eval_connective_free():
-    a = Atomic("P", (Var("x"),))
-    env = {a: Fraction(1, 2)}
-    assert sx.eval_connective_free(Monus(a, DyadicConst(3, 2)), env) == 0
-    assert sx.eval_connective_free(Monus(DyadicConst(3, 2), a), env) == Fraction(1, 4)
-    assert sx.eval_connective_free(Half(One()), {}) == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        sx.eval_connective_free(a, {a: Fraction(3, 2)})
-    with pytest.raises(ValueError):
-        sx.eval_connective_free(a, {})
+                assert st.evaluate(s, f, env) == expected
+                assert st.evaluate(s, sx.normalize_restricted(f), env) == expected
 
 
 def test_free_vars_first_occurrence_order():
