@@ -10,11 +10,14 @@ a monotonicity-based search fast path and an equivalent raw expansion.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 Label = Hashable
 
@@ -112,9 +115,13 @@ def ideal_to_json(ideal: IdealSpec) -> dict:
 
 
 def ideal_from_json(doc: Mapping) -> IdealSpec:
-    omega = [str(g) for g in doc["omega"]]
-    gens = [[str(g) for g in gen] for gen in doc.get("generators", [])]
-    return close_ideal(omega, gens)
+    """Read an ideal document; one of the wrong shape raises ValueError."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("omega"), list):
+        raise ValueError("an ideal document must be an object with an 'omega' list")
+    raw = doc.get("generators", [])
+    if not (isinstance(raw, list) and all(isinstance(gen, list) for gen in raw)):
+        raise ValueError("ideal 'generators' must be a list of lists")
+    return close_ideal([str(g) for g in doc["omega"]], [[str(g) for g in gen] for gen in raw])
 
 
 # --------------------------------------------------------------------------
@@ -128,12 +135,14 @@ class QuotientBA:
     X ~ Y iff their symmetric difference lies in the ideal, which on a
     finite ground set means X and Y agree off S*; so intersection with
     the core is a complete invariant and `elements` lists each class
-    exactly once, in a deterministic bitmask order.
+    exactly once, in bitmask order: `elements[m]` holds core[i] iff bit
+    i of m is set, and `masks` maps each class back to m.
     """
 
     ideal: IdealSpec
     core: tuple[Label, ...] = field(init=False)
     elements: tuple[frozenset, ...] = field(init=False)
+    masks: Mapping[frozenset, int] = field(init=False)
     zero: frozenset = field(init=False)
     one: frozenset = field(init=False)
 
@@ -144,6 +153,7 @@ class QuotientBA:
         for mask in range(1 << len(core)):
             elems.append(frozenset(core[i] for i in range(len(core)) if mask >> i & 1))
         object.__setattr__(self, "elements", tuple(elems))
+        object.__setattr__(self, "masks", {e: m for m, e in enumerate(elems)})
         object.__setattr__(self, "zero", frozenset())
         object.__setattr__(self, "one", frozenset(core))
 
@@ -260,9 +270,14 @@ class GuardedExists:
     """Existential block over generator variables with meet-bounds.
 
     Each bound ((v1..vk), t) asserts meet(v1..vk) <= t where t is a term
-    over free variables. Semantically identical to `expand_raw`; ba_eval
-    exploits that the body is monotone in the bound variables to prune
-    the search.
+    over free variables. Semantically identical to `expand_raw`. Compiled,
+    a block searches its z variables over class bitmasks, largest first and
+    below the caps their one-variable bounds set, reading the body with the
+    variables not yet chosen at their caps: as the body is monotone in them,
+    a false reading prunes the candidate and every class below it. Body
+    values are memoized per evaluation session, keyed on the body's free
+    variables. A block whose body `proves_monotone` cannot vouch for, or
+    whose bounds mention its own variables, compiles as its raw expansion.
     """
 
     zvars: tuple[str, ...]
@@ -295,35 +310,50 @@ def b_false() -> BooleanFormula:
     return BNot(TermEq(BOne(), BOne()))
 
 
-# Each Boolean node class with its to_prefix keyword and its child
-# fields, in print order. "args" holds a tuple of children and "bounds" a
-# guarded block's (meet variables, term) pairs; binder names are not
-# children. BVar prints its name, and a guarded block prints as its raw
-# expansion.
-_NODES: dict[type, tuple[str, tuple[str, ...]]] = {
-    BVar: ("", ()),
-    BZero: ("0", ()),
-    BOne: ("1", ()),
-    BMeet: ("meet", ("left", "right")),
-    BJoin: ("join", ("left", "right")),
-    BCompl: ("compl", ("arg",)),
-    TermEq: ("eq", ("left", "right")),
-    TermLe: ("le", ("left", "right")),
-    NotZero: ("ne0", ("arg",)),
-    BAnd: ("and", ("args",)),
-    BOr: ("or", ("args",)),
-    BNot: ("not", ("arg",)),
-    BImp: ("imp", ("left", "right")),
-    BExists: ("exists", ("body",)),
-    BForall: ("forall", ("body",)),
-    GuardedExists: ("", ("bounds", "body")),
+def _quantifier(s: int, body, one: int, fold):
+    """exists (fold any) or forall (fold all) over each class in slot s."""
+
+    def run(env) -> bool:
+        saved = env[s]
+        out = fold(body(env) for env[s] in range(one + 1))
+        env[s] = saved
+        return out
+
+    return run
+
+
+# Each Boolean node class with its to_prefix keyword, its child fields in
+# print order, and its compiler. "args" holds a tuple of children and
+# "bounds" a guarded block's (meet variables, term) pairs; binder names are
+# not children. BVar prints its name, and a guarded block prints as its raw
+# expansion. A compiler gets the compiled children and returns a closure
+# over an env list (see _Program); a class of P(core) is an int mask over
+# the k core atoms, bit i for core[i]: meet is &, join is |, complement is
+# one ^ x, and x <= y is x & ~y == 0.
+_NODES: dict[type, tuple[str, tuple[str, ...], Callable]] = {
+    BVar: ("", (), lambda c, g: itemgetter(c.slot(g.name))),
+    BZero: ("0", (), lambda c, g: lambda env: 0),
+    BOne: ("1", (), lambda c, g: lambda env, one=c.one: one),
+    BMeet: ("meet", ("left", "right"), lambda c, g, a, b: lambda env: a(env) & b(env)),
+    BJoin: ("join", ("left", "right"), lambda c, g, a, b: lambda env: a(env) | b(env)),
+    BCompl: ("compl", ("arg",), lambda c, g, a: lambda env, one=c.one: one ^ a(env)),
+    TermEq: ("eq", ("left", "right"), lambda c, g, a, b: lambda env: a(env) == b(env)),
+    TermLe: ("le", ("left", "right"), lambda c, g, a, b: lambda env: not a(env) & ~b(env)),
+    NotZero: ("ne0", ("arg",), lambda c, g, a: lambda env: a(env) != 0),
+    BAnd: ("and", ("args",), lambda c, g, *ps: lambda env: all(p(env) for p in ps)),
+    BOr: ("or", ("args",), lambda c, g, *ps: lambda env: any(p(env) for p in ps)),
+    BNot: ("not", ("arg",), lambda c, g, a: lambda env: not a(env)),
+    BImp: ("imp", ("left", "right"), lambda c, g, a, b: lambda env: not a(env) or b(env)),
+    BExists: ("exists", ("body",), lambda c, g, body: _quantifier(c.slot(g.var), body, c.one, any)),
+    BForall: ("forall", ("body",), lambda c, g, body: _quantifier(c.slot(g.var), body, c.one, all)),
+    GuardedExists: ("", ("bounds", "body"), lambda c, g, *kids: _guarded(c, g)),
 }
 
 # atomic formulas: the leaves of a formula's connective structure
 ATOMS = (TermEq, TermLe, NotZero)
 
 
-def _node(g: BNode) -> tuple[str, tuple[str, ...]]:
+def _node(g: BNode) -> tuple[str, tuple[str, ...], Callable]:
     try:
         return _NODES[type(g)]
     except KeyError:
@@ -427,170 +457,173 @@ def to_prefix(f: BNode) -> str:
 # --------------------------------------------------------------------------
 # satisfaction
 
+# the polarity of each child of a node, in _children order, where it is not
+# the node's own: -1 flips it and 0 reads the child both ways
+_SIGNS = {BCompl: (-1,), BNot: (-1,), TermLe: (-1, 1), BImp: (-1, 1), TermEq: (0, 0)}
 
-def ba_eval(B: QuotientBA, f: BooleanFormula, assignment: Mapping[str, frozenset]) -> bool:
-    """Tarskian satisfaction in B; quantifiers enumerate all classes."""
-    env = dict(assignment)
 
-    def term(t: BTerm) -> frozenset:
-        if isinstance(t, BVar):
-            try:
-                return env[t.name]
-            except KeyError:
-                raise ValueError(f"unbound Boolean variable {t.name!r}") from None
-        if isinstance(t, BZero):
-            return B.zero
-        if isinstance(t, BOne):
-            return B.one
-        if isinstance(t, BMeet):
-            return term(t.left) & term(t.right)
-        if isinstance(t, BJoin):
-            return term(t.left) | term(t.right)
-        if isinstance(t, BCompl):
-            return B.one - term(t.arg)
-        raise TypeError(f"unknown Boolean term {t!r}")
+def proves_monotone(f: BNode, names: Optional[Iterable[str]] = None) -> bool:
+    """Syntactic proof that f is monotone in `names` (default: its free
+    variables): every free occurrence of them has positive polarity.
 
-    def sat(g: BooleanFormula) -> bool:
-        if isinstance(g, TermEq):
-            return term(g.left) == term(g.right)
-        if isinstance(g, TermLe):
-            return term(g.left) <= term(g.right)
-        if isinstance(g, NotZero):
-            return bool(term(g.arg))
-        if isinstance(g, BAnd):
-            return all(sat(a) for a in g.args)
-        if isinstance(g, BOr):
-            return any(sat(a) for a in g.args)
-        if isinstance(g, BNot):
-            return not sat(g.arg)
-        if isinstance(g, BImp):
-            return (not sat(g.left)) or sat(g.right)
-        if isinstance(g, (BExists, BForall)):
-            saved = env.get(g.var, _MISSING)
-            hit = isinstance(g, BForall)
-            for e in B.elements:
-                env[g.var] = e
-                if sat(g.body) != hit:
-                    hit = not hit
-                    break
-            if saved is _MISSING:
-                env.pop(g.var, None)
-            else:
-                env[g.var] = saved
-            return hit
+    NotZero, meet, join, and, or and the quantifiers keep polarity; BNot,
+    BCompl and the left sides of TermLe and BImp flip it; TermEq reads both
+    sides both ways, and a guarded bound reads its meet variables as the
+    left side of <=. False means no proof, not a counterexample."""
+
+    def walk(g: BNode, sign: int, live: frozenset) -> bool:
+        if isinstance(g, BVar):
+            return sign == 1 or g.name not in live
+        live = live.difference(_binders(g))
+        signs = _SIGNS.get(type(g), itertools.repeat(1))
         if isinstance(g, GuardedExists):
-            return guarded(g)
-        raise TypeError(f"unknown Boolean node {g!r}")
+            signs = [s for meet_vars, _ in g.bounds for s in (-1,) * len(meet_vars) + (1,)] + [1]
+        return not live or all(walk(c, sign * s, live) for c, s in zip(_children(g), signs))
 
-    def guarded(g: GuardedExists) -> bool:
-        # Search for a witness assignment of g.zvars. The pruning relies
-        # on the body being monotone in the z variables, which holds for
-        # translator output; equivalence with expand_raw is covered by an
-        # exhaustive test at small sizes.
-        bound_vals = [term(b) for _, b in g.bounds]
-        caps: dict[str, frozenset] = {v: B.one for v in g.zvars}
-        for (meet_vars, _), bval in zip(g.bounds, bound_vals):
-            if len(meet_vars) == 1 and meet_vars[0] in caps:
-                caps[meet_vars[0]] = caps[meet_vars[0]] & bval
+    return walk(f, 1, frozenset(free_bvars(f) if names is None else names))
 
-        order = list(g.zvars)
-        pos = {v: i for i, v in enumerate(order)}
-        # a bound becomes checkable at the deepest search level it
-        # mentions; bounds over free variables only are constant
-        activated: list[list[int]] = [[] for _ in order]
-        constant: list[int] = []
-        for bi, (meet_vars, _) in enumerate(g.bounds):
-            levels = [pos[v] for v in meet_vars if v in pos]
-            if levels:
-                activated[max(levels)].append(bi)
-            else:
-                constant.append(bi)
 
-        def bound_holds(bi: int) -> bool:
-            meet_vars, _ = g.bounds[bi]
-            m = B.one
-            for v in meet_vars:
-                m = m & env[v]
-            return m <= bound_vals[bi]
+class _Program:
+    """A Boolean formula compiled, once, for a core of k atoms.
 
-        saved = {v: env.get(v, _MISSING) for v in g.zvars}
+    `run(env)` evaluates it on an env list from `session()`: env[0] holds
+    one evaluation session's guarded-body memos and env[1:] the variables'
+    class masks, one slot per name (`slots`). Structurally equal nodes
+    compile to one shared closure, and guarded blocks to one memo."""
 
-        def restore() -> None:
-            for v, old in saved.items():
-                if old is _MISSING:
-                    env.pop(v, None)
-                else:
-                    env[v] = old
+    def __init__(self, f: BooleanFormula, k: int) -> None:
+        self.k, self.one = k, (1 << k) - 1
+        self.slots: dict[str, int] = {}
+        self.done: dict[BNode, Callable] = {}
+        self.memos = 0
+        self.names = free_bvars(f)
+        self.free = [self.slot(v) for v in self.names]
+        self.run = self.compile(f)
+        del self.done  # needed only while compiling
 
-        env.update(caps)
-        if not all(bound_holds(bi) for bi in constant):
-            restore()
+    def slot(self, name: str) -> int:
+        return self.slots.setdefault(name, len(self.slots) + 1)
+
+    def compile(self, g: BNode) -> Callable:
+        """g's closure, shared by every node structurally equal to g."""
+        fn = self.done.get(g)
+        if fn is None:
+            fn = self.done[g] = _node(g)[2](self, g, *map(self.compile, _children(g)))
+        return fn
+
+    def session(self, dense: bool = False) -> list:
+        """A fresh env for one top-level evaluation; its body memos are dicts,
+        or in a session of many evaluations (dense) bytearrays made on use."""
+        return [[None if dense else defaultdict(int) for _ in range(self.memos)]] + [0] * len(self.slots)
+
+
+def _guarded(c: _Program, g: GuardedExists) -> Callable:
+    """The pruned witness search of a guarded block (see GuardedExists),
+    or its raw expansion when the pruning is not provably sound."""
+    zset = set(g.zvars)
+    if not proves_monotone(g.body, zset) or any(zset.intersection(free_bvars(t)) for _, t in g.bounds):
+        return c.compile(g.expand_raw())
+    k, one = c.k, c.one
+    down = [sum(1 << s for s in range(e + 1) if not s & ~e) for e in range(one + 1)]
+    zs = [c.slot(z) for z in g.zvars]
+    terms = [c.compile(t) for _, t in g.bounds]
+    m = len(zs)
+    # per search level, the bounds it completes as (the other meet slots,
+    # bound index); level m holds the bounds over free variables alone
+    activated: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(m + 1)]
+    for bi, (meet_vars, _) in enumerate(g.bounds):
+        ms = {c.slot(v) for v in meet_vars}
+        i = max((zs.index(s) for s in ms if s in zs), default=m)
+        activated[i].append((tuple(ms.difference(zs[i : i + 1])), bi))
+    body = c.compile(g.body)
+    keys = [c.slot(v) for v in free_bvars(g.body)]
+    small = k * len(keys) <= 16  # a bytearray memo of at most 64 KiB
+    memo_at = c.memos
+    c.memos += small
+
+    def run(env) -> bool:
+        bvals = [t(env) for t in terms]
+
+        def forbidden(i: int) -> int:
+            # the atoms z_i may not hold, given every other meet variable
+            out = 0
+            for others, bi in activated[i]:
+                p = one
+                for s in others:
+                    p &= env[s]
+                out |= p & ~bvals[bi]
+            return out
+
+        if forbidden(m):
             return False
-
-        # the body only sees the z variables, so its value repeats a lot
-        # during the search; memoize per assignment tuple
-        body_memo: dict[tuple, bool] = {}
+        # each z variable's cap: the meet of its bounds on it alone
+        caps = [functools.reduce(int.__and__, (bvals[bi] for o, bi in act if not o), one) for act in activated[:m]]
+        memo = env[0][memo_at] if small else defaultdict(int)
+        if memo is None:
+            memo = env[0][memo_at] = bytearray(1 << k * len(keys))
 
         def body_now() -> bool:
-            key = tuple(env[v] for v in order)
-            hit = body_memo.get(key)
-            if hit is None:
-                hit = body_memo[key] = sat(g.body)
-            return hit
-
-        # fast path: try the per-variable caps outright
-        body_at_caps = body_now()
-        if body_at_caps and all(bound_holds(bi) for lv in activated for bi in lv):
-            restore()
-            return True
-        if not body_at_caps:
-            # any admissible assignment is below the caps pointwise, and
-            # the body is monotone, so no witness exists
-            restore()
-            return False
-
-        candidates = {
-            v: sorted((e for e in B.elements if e <= caps[v]), key=lambda e: (-len(e), sorted(map(str, e))))
-            for v in order
-        }
+            key = 0
+            for s in keys:
+                key = key << k | env[s]
+            v = memo[key]
+            if not v:
+                v = memo[key] = 2 if body(env) else 1
+            return v == 2
 
         def dfs(i: int) -> bool:
-            if i == len(order):
-                return True
-            v = order[i]
-            # optimistic-body failures propagate down the candidate cone
-            body_failed: list[frozenset] = []
-            for e in candidates[v]:
-                if any(e <= bad for bad in body_failed):
+            if i == m:
+                return body_now()
+            s = zs[i]
+            dead = 0  # bit e set: class e lies below a failed reading
+            # classes in decreasing order, so each comes before its subclasses
+            allowed = one & ~forbidden(i)
+            for e in range(allowed, -1, -1):
+                if e & ~allowed or dead >> e & 1:
                     continue
-                env[v] = e
-                if not all(bound_holds(bi) for bi in activated[i]):
-                    continue
-                for w in order[i + 1 :]:
-                    env[w] = caps[w]
+                env[s] = e
                 if not body_now():
-                    body_failed.append(e)
+                    dead |= down[e]
                     continue
                 if dfs(i + 1):
                     return True
+                for j in range(i + 1, m):
+                    env[zs[j]] = caps[j]
             return False
 
+        saved = [env[s] for s in zs]
+        for s, cap in zip(zs, caps):
+            env[s] = cap
         out = dfs(0)
-        restore()
+        for s, v in zip(zs, saved):
+            env[s] = v
         return out
 
-    return sat(f)
+    return run
 
 
-_MISSING = object()
+_program = functools.lru_cache(maxsize=64)(_Program)
+
+
+def ba_eval(B: QuotientBA, f: BooleanFormula, assignment: Mapping[str, frozenset]) -> bool:
+    """Tarskian satisfaction in B; quantifiers range over all classes.
+
+    f is compiled once per core size (a bounded cache keyed on f and the
+    core size) into closures over class bitmasks; the assignment's classes
+    are converted at the boundary. A guarded block runs its pruned search
+    only when `proves_monotone` vouches for its body, else its raw expansion."""
+    prog = _program(f, len(B.core))
+    env = prog.session()
+    try:
+        for name, s in zip(prog.names, prog.free):
+            env[s] = B.masks[assignment[name]]
+    except KeyError:
+        raise ValueError(f"Boolean variable {name!r} is unbound or not assigned a class of B") from None
+    return prog.run(env)
 
 
 # --------------------------------------------------------------------------
 # monotonicity
-
-
-def _atom_ups(B: QuotientBA, e: frozenset) -> list[frozenset]:
-    return [e | {a} for a in B.core if a not in e]
 
 
 def is_monotone(
@@ -605,30 +638,32 @@ def is_monotone(
     Exhaustive over all assignments of the occurring variables when
     there are at most `exhaustive_vars` of them (covering relations step
     one atom at a time, which suffices in a finite Boolean algebra);
-    otherwise `samples` seeded random comparable pairs.
-    """
+    otherwise `samples` seeded random comparable pairs. f is compiled once
+    and all its evaluations share one session of guarded-body memos."""
     names = free_bvars(f)
     if not names:
         return True
+    k = len(B.core)
+    prog = _Program(f, k)
+    env = prog.session(dense=True)
+
+    def sat(masks: Iterable[int]) -> bool:
+        for s, x in zip(prog.free, masks):
+            env[s] = x
+        return prog.run(env)
+
     if len(names) <= exhaustive_vars:
-        truth: dict[tuple[frozenset, ...], bool] = {}
-        for combo in itertools.product(B.elements, repeat=len(names)):
-            truth[combo] = ba_eval(B, f, dict(zip(names, combo)))
-        for combo, val in truth.items():
-            if not val:
-                continue
-            for i, e in enumerate(combo):
-                for up in _atom_ups(B, e):
-                    if not truth[combo[:i] + (up,) + combo[i + 1 :]]:
-                        return False
-        return True
+        # entry idx packs the variables' masks, k bits each
+        truth = bytearray(map(sat, itertools.product(range(prog.one + 1), repeat=len(names))))
+        return not any(
+            truth[idx] and any(not idx >> b & 1 and not truth[idx | 1 << b] for b in range(k * len(names)))
+            for idx in range(len(truth))
+        )
     rng = random.Random(seed)
-    elems = B.elements
-    core = list(B.core)
     for _ in range(samples):
-        lo = {v: elems[rng.randrange(len(elems))] for v in names}
-        hi = {v: lo[v] | frozenset(a for a in core if rng.random() < 0.5) for v in names}
-        if ba_eval(B, f, lo) and not ba_eval(B, f, hi):
+        lo = [rng.randrange(prog.one + 1) for _ in names]
+        hi = [x | sum(1 << i for i in range(k) if rng.random() < 0.5) for x in lo]
+        if sat(lo) and not sat(hi):
             return False
     return True
 

@@ -32,6 +32,7 @@ from .boolean_ideals import (
 from .reduced_products import (
     Family,
     atomic_limsup_check,
+    family_documents,
     family_from_json,
     fubini_iso,
     principal_ultraproduct_iso,
@@ -366,50 +367,56 @@ def suite_atomic(seed: int, cases: int = 1000, caps: Optional[ResourceCaps] = No
 
 def suite_fv(
     depth: int,
-    n: int,
+    ns: Sequence[int],
     families: int,
     seed: int,
     caps: Optional[ResourceCaps] = None,
     collect_sigmas: Optional[set] = None,
-) -> SuiteReport:
-    """certify every battery sentence against a rotating pool of seeded
-    families at precision n; sentences whose compiled size would exceed
-    the caps are skipped and listed, never silently dropped."""
+) -> list[SuiteReport]:
+    """certify every battery sentence against one rotating pool of seeded
+    families at each precision in ns, one report each; sentences whose
+    compiled size would exceed the caps are skipped and listed."""
     caps = caps or load_caps()
-    if n > caps.max_n:
-        raise ValueError(f"precision {n} exceeds the configured cap {caps.max_n}")
+    if max(ns) > caps.max_n:
+        raise ValueError(f"precision {max(ns)} exceeds the configured cap {caps.max_n}")
     rng = random.Random(seed)
     started = time.time()
     bat = battery(BATTERY_SIG, depth, caps)
     pool = [random_family(BATTERY_SIG, rng, caps, max_omega=min(3, caps.max_omega)) for _ in range(families)]
-    failures: list[Failure] = []
-    findings: list[str] = []
-    skipped: list[str] = []
-    for i, sent in enumerate(bat.sentences):
-        case = f"fv:n{n}:{i:03d}:{to_text(sent)}"
-        m, g = fvt.translation_cost(sent, n)
-        if m > caps.max_psis or g > caps.max_guard_vars:
-            skipped.append(f"{case} (size {m} subformulas, {g} guard variables)")
-            continue
-        # two families per sentence, round-robin, so the whole pool is hit
-        base = 2 * (n * len(bat.sentences) + i)
-        for slot in (0, 1):
-            fam = pool[(base + slot) % families]
-            cr = fvt.certify(sent, n, fam, {})
-            if cr.ds.m != m:
-                failures.append(Failure(case, f"cost estimate {m} != emitted {cr.ds.m}"))
-            if collect_sigmas is not None:
-                collect_sigmas.update(cr.ds.sigmas)
-            if not cr.ok:
-                failures.append(Failure(f"{case}#{slot}", str(cr.counterexample)))
-            for finding in cr.findings:
-                if finding.kind == "width":
-                    findings.append(
-                        f"{case}#{slot} width: {finding.detail};"
-                        f" ideal core {sorted(map(str, fam.ideal.core))},"
-                        f" window ({cr.bounds.lower_strict}, {cr.bounds.upper}], tilde {cr.bounds.ell_tilde}"
-                    )
-    return _finish(f"fv(depth={depth}, n={n})", seed, len(bat.sentences), failures, findings, skipped, started)
+    reports = []
+    for n in ns:
+        failures: list[Failure] = []
+        findings: list[str] = []
+        skipped: list[str] = []
+        for i, sent in enumerate(bat.sentences):
+            case = f"fv:n{n}:{i:03d}:{to_text(sent)}"
+            m, g = fvt.translation_cost(sent, n)
+            if m > caps.max_psis or g > caps.max_guard_vars:
+                skipped.append(f"{case} (size {m} subformulas, {g} guard variables)")
+                continue
+            # two families per sentence, round-robin, so the whole pool is hit
+            base = 2 * (n * len(bat.sentences) + i)
+            for slot in (0, 1):
+                fam = pool[(base + slot) % families]
+                cr = fvt.certify(sent, n, fam, {})
+                if cr.ds.m != m:
+                    failures.append(Failure(case, f"cost estimate {m} != emitted {cr.ds.m}"))
+                if collect_sigmas is not None:
+                    collect_sigmas.update(cr.ds.sigmas)
+                if not cr.ok:
+                    failures.append(Failure(f"{case}#{slot}", str(cr.counterexample)))
+                for finding in cr.findings:
+                    if finding.kind == "width":
+                        findings.append(
+                            f"{case}#{slot} width: {finding.detail};"
+                            f" ideal core {sorted(map(str, fam.ideal.core))},"
+                            f" window ({cr.bounds.lower_strict}, {cr.bounds.upper}], tilde {cr.bounds.ell_tilde}"
+                        )
+        reports.append(
+            _finish(f"fv(depth={depth}, n={n})", seed, len(bat.sentences), failures, findings, skipped, started)
+        )
+        started = time.time()
+    return reports
 
 
 def _relabel(s: FiniteStructure, perm: Sequence[int], tag: str) -> FiniteStructure:
@@ -678,6 +685,9 @@ def _infer_signature(docs: Sequence[dict]) -> Signature:
             d += 1
         return d
 
+    tables = ("preds", "funcs", "consts")
+    if not all(isinstance(d, dict) and all(isinstance(d.get(k, {}), dict) for k in tables) for d in docs):
+        raise ValueError("a structure document must be an object whose 'preds', 'funcs' and 'consts' are objects")
     first = docs[0]
     fat = Signature(
         preds=tuple(
@@ -690,31 +700,21 @@ def _infer_signature(docs: Sequence[dict]) -> Signature:
     )
     structs = [structure_from_json(doc, fat) for doc in docs]
 
-    def ratio_pred(p: PredSym) -> Fraction:
+    def ratio(sym, is_pred: bool) -> Fraction:
         best = Fraction(1)
         for s in structs:
-            table = s.preds[p.name]
-            for ta in itertools.product(s.universe, repeat=p.arity):
-                for tb in itertools.product(s.universe, repeat=p.arity):
+            table = (s.preds if is_pred else s.funcs)[sym.name]
+            for ta in itertools.product(s.universe, repeat=sym.arity):
+                for tb in itertools.product(s.universe, repeat=sym.arity):
                     rho = max((s.dist[(a, b)] for a, b in zip(ta, tb)), default=Fraction(0))
                     if rho > 0:
-                        best = max(best, abs(table[ta] - table[tb]) / rho)
-        return best
-
-    def ratio_func(f: FuncSym) -> Fraction:
-        best = Fraction(1)
-        for s in structs:
-            table = s.funcs[f.name]
-            for ta in itertools.product(s.universe, repeat=f.arity):
-                for tb in itertools.product(s.universe, repeat=f.arity):
-                    rho = max((s.dist[(a, b)] for a, b in zip(ta, tb)), default=Fraction(0))
-                    if rho > 0:
-                        best = max(best, s.dist[(table[ta], table[tb])] / rho)
+                        gap = abs(table[ta] - table[tb]) if is_pred else s.dist[(table[ta], table[tb])]
+                        best = max(best, gap / rho)
         return best
 
     return Signature(
-        preds=tuple(PredSym(p.name, p.arity, ratio_pred(p)) for p in fat.preds),
-        funcs=tuple(FuncSym(f.name, f.arity, ratio_func(f)) for f in fat.funcs),
+        preds=tuple(PredSym(p.name, p.arity, ratio(p, True)) for p in fat.preds),
+        funcs=tuple(FuncSym(f.name, f.arity, ratio(f, False)) for f in fat.funcs),
         consts=fat.consts,
     )
 
@@ -794,8 +794,8 @@ def _cmd_rp(args: argparse.Namespace, caps: ResourceCaps) -> int:
     if args.family is not None:
         with open(args.family) as fh:
             doc = json.load(fh)
-        order = ideal_from_json(doc["ideal"]).omega
-        sig = _load_signature(args.sig, [doc["structures"][str(g)] for g in order])
+        ideal, docs = family_documents(doc)
+        sig = _load_signature(args.sig, [docs[g] for g in ideal.omega])
         fam = family_from_json(doc, sig)
     elif args.structure is not None and args.ideal is not None:
         # reduced power: one structure repeated over the ideal's ground set
@@ -822,8 +822,7 @@ def _cmd_check(args: argparse.Namespace, caps: ResourceCaps) -> int:
         reports.append(suite_atomic(args.seed, caps=caps))
     if wanted in ("fv", "all"):
         ns = range(caps.max_n + 1) if args.n is None else [args.n]
-        for n in ns:
-            reports.append(suite_fv(depth, n, families=240, seed=args.seed, caps=caps))
+        reports += suite_fv(depth, ns, families=240, seed=args.seed, caps=caps)
     if wanted in ("preservation", "all"):
         reports.append(suite_preservation(args.seed, caps=caps))
     if wanted in ("quotient", "all"):

@@ -332,11 +332,20 @@ def family_to_json(fam: Family) -> dict:
     }
 
 
-def family_from_json(doc: Mapping, sig: Signature) -> Family:
+def family_documents(doc: Mapping) -> tuple[IdealSpec, Mapping[str, Mapping]]:
+    """A family document's ideal and structure documents by label; a
+    document of the wrong shape raises ValueError."""
+    if not (isinstance(doc, dict) and "ideal" in doc and isinstance(doc.get("structures"), dict)):
+        raise ValueError("a family document must be an object with an 'ideal' and a 'structures' object")
     ideal = ideal_from_json(doc["ideal"])
     raw = doc["structures"]
     if set(raw) != set(ideal.omega):
         raise ValueError("structure labels must match the ideal's ground set")
+    return ideal, raw
+
+
+def family_from_json(doc: Mapping, sig: Signature) -> Family:
+    ideal, raw = family_documents(doc)
     return Family(ideal, {g: structure_from_json(raw[g], sig) for g in ideal.omega})
 
 

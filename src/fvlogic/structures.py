@@ -339,8 +339,8 @@ def _is_list_of(x: Any, n: int) -> bool:
 def from_json(doc: Mapping, sig: Signature) -> FiniteStructure:
     """Read a structure document; a document of the wrong shape raises
     ValueError before any table is built."""
-    if not isinstance(doc["universe"], list):
-        raise ValueError("'universe' must be a list of labels")
+    if not isinstance(doc, dict) or not isinstance(doc.get("universe"), list):
+        raise ValueError("a structure document must be an object with a 'universe' list of labels")
     U = tuple(str(a) for a in doc["universe"])
     rows = doc["dist"]
     if not (_is_list_of(rows, len(U)) and all(_is_list_of(row, len(U)) for row in rows)):

@@ -106,14 +106,19 @@ def signature_to_json(sig: Signature) -> dict:
 
 
 def signature_from_json(doc: Mapping) -> Signature:
-    preds = tuple(
-        PredSym(str(p["name"]), int(p["arity"]), parse_fraction(p["lipschitz"])) for p in doc.get("preds", ())
+    """Read a signature document; one of the wrong shape raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a signature document must be an object")
+    preds, funcs, consts = (doc.get(key, []) for key in ("preds", "funcs", "consts"))
+    if not all(isinstance(x, list) for x in (preds, funcs, consts)):
+        raise ValueError("signature 'preds', 'funcs' and 'consts' must be lists")
+    if not all(isinstance(x, dict) and isinstance(x.get("arity"), (int, str)) for x in preds + funcs):
+        raise ValueError("every signature symbol must be an object with an 'arity'")
+    return Signature(
+        preds=tuple(PredSym(str(p["name"]), int(p["arity"]), parse_fraction(p["lipschitz"])) for p in preds),
+        funcs=tuple(FuncSym(str(f["name"]), int(f["arity"]), parse_fraction(f["lipschitz"])) for f in funcs),
+        consts=tuple(str(c) for c in consts),
     )
-    funcs = tuple(
-        FuncSym(str(f["name"]), int(f["arity"]), parse_fraction(f["lipschitz"])) for f in doc.get("funcs", ())
-    )
-    consts = tuple(str(c) for c in doc.get("consts", ()))
-    return Signature(preds=preds, funcs=funcs, consts=consts)
 
 
 # --------------------------------------------------------------------------

@@ -1,30 +1,39 @@
 import itertools
+import random
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
 from fvlogic import boolean_ideals as bi
+from fvlogic import fv_translator as fvt
+from fvlogic import harness_cli as hc
 from fvlogic.boolean_ideals import (
     BAnd,
     BCompl,
+    BooleanFormula,
     BExists,
     BForall,
     BImp,
+    BJoin,
     BMeet,
     BNot,
     BOne,
     BOr,
+    BTerm,
     BVar,
     BZero,
     GuardedExists,
     IdealSpec,
     NotZero,
+    QuotientBA,
     TermEq,
     TermLe,
     b_false,
     b_true,
     ba_eval,
     close_ideal,
+    expand_guarded,
     free_bvars,
     fubini,
     ideal_from_json,
@@ -32,11 +41,13 @@ from fvlogic.boolean_ideals import (
     is_monotone,
     limsup_ideal,
     principal_max_ideal,
+    proves_monotone,
     quotient,
     subst_bvars,
     to_prefix,
     trivial_ideal,
 )
+from fvlogic.syntax import normalize_restricted
 
 
 def fs(*items):
@@ -278,6 +289,16 @@ GUARDED_SHAPES = [
             NotZero(BVar("z0")),
         ),
     ),
+    # a failed candidate prunes only the classes below it: on the core
+    # (1, 2) with y1 = {1}, z1 = {1, 2} leaves z2 no room and z1 = {2}
+    # misses y1, yet z1 = {1} is a witness
+    GuardedExists(
+        ("z1", "z2"),
+        ((("z1", "z2"), BZero()),),
+        BAnd((NotZero(BMeet(BVar("z1"), BVar("y1"))), NotZero(BVar("z2")))),
+    ),
+    # a body that is not monotone in z: searched by its raw expansion
+    GuardedExists(("z",), ((("z",), BVar("y")),), BNot(NotZero(BVar("z")))),
 ]
 
 
@@ -291,9 +312,49 @@ def test_guarded_matches_raw_expansion(g):
     names = free_bvars(g)
     raw = g.expand_raw()
     for B in algebras:
+        # one session for every assignment, as is_monotone runs them: the
+        # body memo must key on every free variable of the body
+        prog = bi._Program(g, len(B.core))
+        session = prog.session(dense=True)
         for combo in itertools.product(B.elements, repeat=len(names)):
             env = dict(zip(names, combo))
-            assert ba_eval(B, g, env) == ba_eval(B, raw, env), (B.core, env)
+            want = reference_ba_eval(B, raw, env)
+            assert ba_eval(B, g, env) == ba_eval(B, raw, env) == want, (B.core, env)
+            for s, X in zip(prog.free, combo):
+                session[s] = B.masks[X]
+            assert prog.run(session) == want, (B.core, env)
+
+
+def test_proves_monotone_reads_polarity():
+    y, z = BVar("y"), BVar("z")
+    assert proves_monotone(NotZero(BMeet(y, BJoin(z, BZero()))))
+    assert proves_monotone(TermLe(BCompl(y), z))
+    assert not proves_monotone(TermLe(y, z))
+    assert proves_monotone(TermLe(y, z), ["z"])
+    assert not proves_monotone(TermEq(y, BOne()))
+    assert not proves_monotone(BNot(NotZero(y)))
+    assert proves_monotone(BNot(BNot(NotZero(y))))
+    assert proves_monotone(BImp(TermLe(y, BZero()), NotZero(z)))
+    assert proves_monotone(BForall("y", BAnd((TermEq(y, y), NotZero(z)))))
+    # a guarded bound reads its meet variables as the left side of <=
+    assert not proves_monotone(GuardedExists(("z",), ((("z", "y"), BZero()),), NotZero(z)))
+    assert proves_monotone(GuardedExists(("z",), ((("z",), y),), NotZero(z)))
+    assert not proves_monotone(GUARDED_SHAPES[-1].body, ["z"])
+
+
+def test_bound_variables_do_not_leak_out_of_their_scope():
+    # z is bound by the block and y by the exists, and both are free after
+    y, z = BVar("y"), BVar("z")
+    block = GuardedExists(("z",), ((("z",), y),), NotZero(z))
+    f = BAnd((block, TermEq(z, BZero()), BExists("y", NotZero(y)), TermEq(y, BOne())))
+    B = quotient(trivial_ideal((1, 2)))
+    hits = 0
+    for combo in itertools.product(B.elements, repeat=2):
+        env = dict(zip(("y", "z"), combo))
+        want = reference_ba_eval(B, expand_guarded(f), env)
+        assert ba_eval(B, f, env) == want, env
+        hits += want
+    assert hits == 1
 
 
 def test_guarded_without_bounds_is_plain_exists():
@@ -301,6 +362,201 @@ def test_guarded_without_bounds_is_plain_exists():
     B = quotient(trivial_ideal((1, 2)))
     for y in B.elements:
         assert ba_eval(B, g, {"y": y}) == (len(y) > 0)
+
+
+# --------------------------------------------------------------------------
+# the compiled evaluator against the frozenset tree-walker it replaced
+
+
+# The frozenset tree-walking evaluator that ba_eval used before it was
+# compiled to bitmask closures, kept verbatim as the differential reference.
+def reference_ba_eval(B: QuotientBA, f: BooleanFormula, assignment: Mapping[str, frozenset]) -> bool:
+    """Tarskian satisfaction in B; quantifiers enumerate all classes."""
+    env = dict(assignment)
+
+    def term(t: BTerm) -> frozenset:
+        if isinstance(t, BVar):
+            try:
+                return env[t.name]
+            except KeyError:
+                raise ValueError(f"unbound Boolean variable {t.name!r}") from None
+        if isinstance(t, BZero):
+            return B.zero
+        if isinstance(t, BOne):
+            return B.one
+        if isinstance(t, BMeet):
+            return term(t.left) & term(t.right)
+        if isinstance(t, BJoin):
+            return term(t.left) | term(t.right)
+        if isinstance(t, BCompl):
+            return B.one - term(t.arg)
+        raise TypeError(f"unknown Boolean term {t!r}")
+
+    def sat(g: BooleanFormula) -> bool:
+        if isinstance(g, TermEq):
+            return term(g.left) == term(g.right)
+        if isinstance(g, TermLe):
+            return term(g.left) <= term(g.right)
+        if isinstance(g, NotZero):
+            return bool(term(g.arg))
+        if isinstance(g, BAnd):
+            return all(sat(a) for a in g.args)
+        if isinstance(g, BOr):
+            return any(sat(a) for a in g.args)
+        if isinstance(g, BNot):
+            return not sat(g.arg)
+        if isinstance(g, BImp):
+            return (not sat(g.left)) or sat(g.right)
+        if isinstance(g, (BExists, BForall)):
+            saved = env.get(g.var, _MISSING)
+            hit = isinstance(g, BForall)
+            for e in B.elements:
+                env[g.var] = e
+                if sat(g.body) != hit:
+                    hit = not hit
+                    break
+            if saved is _MISSING:
+                env.pop(g.var, None)
+            else:
+                env[g.var] = saved
+            return hit
+        if isinstance(g, GuardedExists):
+            return guarded(g)
+        raise TypeError(f"unknown Boolean node {g!r}")
+
+    def guarded(g: GuardedExists) -> bool:
+        # Search for a witness assignment of g.zvars. The pruning relies
+        # on the body being monotone in the z variables, which holds for
+        # translator output; equivalence with expand_raw is covered by an
+        # exhaustive test at small sizes.
+        bound_vals = [term(b) for _, b in g.bounds]
+        caps: dict[str, frozenset] = {v: B.one for v in g.zvars}
+        for (meet_vars, _), bval in zip(g.bounds, bound_vals):
+            if len(meet_vars) == 1 and meet_vars[0] in caps:
+                caps[meet_vars[0]] = caps[meet_vars[0]] & bval
+
+        order = list(g.zvars)
+        pos = {v: i for i, v in enumerate(order)}
+        # a bound becomes checkable at the deepest search level it
+        # mentions; bounds over free variables only are constant
+        activated: list[list[int]] = [[] for _ in order]
+        constant: list[int] = []
+        for bi, (meet_vars, _) in enumerate(g.bounds):
+            levels = [pos[v] for v in meet_vars if v in pos]
+            if levels:
+                activated[max(levels)].append(bi)
+            else:
+                constant.append(bi)
+
+        def bound_holds(bi: int) -> bool:
+            meet_vars, _ = g.bounds[bi]
+            m = B.one
+            for v in meet_vars:
+                m = m & env[v]
+            return m <= bound_vals[bi]
+
+        saved = {v: env.get(v, _MISSING) for v in g.zvars}
+
+        def restore() -> None:
+            for v, old in saved.items():
+                if old is _MISSING:
+                    env.pop(v, None)
+                else:
+                    env[v] = old
+
+        env.update(caps)
+        if not all(bound_holds(bi) for bi in constant):
+            restore()
+            return False
+
+        # the body only sees the z variables, so its value repeats a lot
+        # during the search; memoize per assignment tuple
+        body_memo: dict[tuple, bool] = {}
+
+        def body_now() -> bool:
+            key = tuple(env[v] for v in order)
+            hit = body_memo.get(key)
+            if hit is None:
+                hit = body_memo[key] = sat(g.body)
+            return hit
+
+        # fast path: try the per-variable caps outright
+        body_at_caps = body_now()
+        if body_at_caps and all(bound_holds(bi) for lv in activated for bi in lv):
+            restore()
+            return True
+        if not body_at_caps:
+            # any admissible assignment is below the caps pointwise, and
+            # the body is monotone, so no witness exists
+            restore()
+            return False
+
+        candidates = {
+            v: sorted((e for e in B.elements if e <= caps[v]), key=lambda e: (-len(e), sorted(map(str, e))))
+            for v in order
+        }
+
+        def dfs(i: int) -> bool:
+            if i == len(order):
+                return True
+            v = order[i]
+            # optimistic-body failures propagate down the candidate cone
+            body_failed: list[frozenset] = []
+            for e in candidates[v]:
+                if any(e <= bad for bad in body_failed):
+                    continue
+                env[v] = e
+                if not all(bound_holds(bi) for bi in activated[i]):
+                    continue
+                for w in order[i + 1 :]:
+                    env[w] = caps[w]
+                if not body_now():
+                    body_failed.append(e)
+                    continue
+                if dfs(i + 1):
+                    return True
+            return False
+
+        out = dfs(0)
+        restore()
+        return out
+
+    return sat(f)
+
+
+_MISSING = object()
+
+
+def battery_sigmas():
+    """Every distinct sigma of the gated depth-3 battery at n = 0..2."""
+    caps = hc.load_caps()
+    sigmas = {}
+    for n in (0, 1, 2):
+        for sent in hc.battery(hc.BATTERY_SIG, 3, caps).sentences:
+            m, g = fvt.translation_cost(sent, n)
+            if m <= caps.max_psis and g <= caps.max_guard_vars:
+                sigmas.update(dict.fromkeys(fvt.translate(normalize_restricted(sent), n).sigmas))
+    return list(sigmas)
+
+
+def test_compiled_ba_eval_matches_reference_on_battery_sigmas():
+    sigmas = battery_sigmas()
+    assert len(sigmas) == 82
+    rng = random.Random(2024)
+    checked = 0
+    for size, samples in ((1, 100), (2, 100), (3, 60)):
+        B = quotient(trivial_ideal(tuple(range(size))))
+        for s in sigmas:
+            names = free_bvars(s)
+            if size < 3 and len(names) <= 6:
+                combos = itertools.product(B.elements, repeat=len(names))
+            else:
+                combos = [[rng.choice(B.elements) for _ in names] for _ in range(samples)]
+            for combo in combos:
+                env = dict(zip(names, combo))
+                assert ba_eval(B, s, env) == reference_ba_eval(B, s, env), (size, to_prefix(s), env)
+                checked += 1
+    assert checked > 25_000
 
 
 # --------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def test_battery_depth_enforced_before_construction():
 
 def test_suite_fv_precision_cap():
     with pytest.raises(ValueError):
-        hc.suite_fv(1, CAPS.max_n + 1, families=4, seed=0, caps=CAPS)
+        hc.suite_fv(1, [CAPS.max_n + 1], families=4, seed=0, caps=CAPS)
 
 
 # --------------------------------------------------------------------------
@@ -195,8 +195,8 @@ def test_suite_reports_reproducible():
     r2 = hc.suite_atomic(3, cases=40, caps=CAPS)
     assert r1.ok
     assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
-    f1 = hc.suite_fv(1, 0, families=8, seed=3, caps=CAPS)
-    f2 = hc.suite_fv(1, 0, families=8, seed=3, caps=CAPS)
+    [f1] = hc.suite_fv(1, [0], families=8, seed=3, caps=CAPS)
+    [f2] = hc.suite_fv(1, [0], families=8, seed=3, caps=CAPS)
     assert f1.ok
     assert json.dumps(f1.to_json()) == json.dumps(f2.to_json())
 
@@ -212,14 +212,14 @@ def test_suite_atomic_passes():
 
 def test_suite_fv_small_passes_and_collects_sigmas():
     sigmas = set()
-    rep = hc.suite_fv(1, 1, families=12, seed=4, caps=CAPS, collect_sigmas=sigmas)
+    [rep] = hc.suite_fv(1, [1], families=12, seed=4, caps=CAPS, collect_sigmas=sigmas)
     assert rep.ok
     assert rep.cases == len(hc.battery(hc.BATTERY_SIG, 1, CAPS).sentences)
     assert sigmas
 
 
 def test_suite_fv_lists_oversize_sentences_as_skipped():
-    rep = hc.suite_fv(3, 1, families=8, seed=4, caps=CAPS)
+    [rep] = hc.suite_fv(3, [1], families=8, seed=4, caps=CAPS)
     assert rep.ok
     assert any("inf y . sup x . P(g(x,y))" in s for s in rep.skipped)
     # skipped entries carry the offending sizes
@@ -458,6 +458,22 @@ def test_cli_rp_rejects_too_many_classes(files):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "64 classes" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_rp_rejects_a_malformed_family(tmp_path):
+    (tmp_path / "fam.json").write_text(json.dumps({"ideal": {"omega": 5}, "structures": {}}))
+    proc = run_fv("rp", "--family", str(tmp_path / "fam.json"))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and "omega" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_translate_rejects_a_list_signature(tmp_path):
+    (tmp_path / "sig.json").write_text(json.dumps([{"name": "P", "arity": 1}]))
+    proc = run_fv("translate", "--formula", "sup x . P(x)", "--n", "1", "--sig", str(tmp_path / "sig.json"))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and "signature" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
