@@ -400,10 +400,14 @@ def fv_bounds(
         ds = translate(normalize_restricted(f), n)
     B = quotient(fam.ideal)
     ls = level_sets(ds, fam, abar)
-    N = 2**n
     sat_strict = _sigma_verdicts(ds, B, _profile_env(B, ls.strict))
-    sat_weak = _sigma_verdicts(ds, B, _profile_env(B, ls.weak))
+    return _window(ds, sat_strict, _sigma_verdicts(ds, B, _profile_env(B, ls.weak)))
 
+
+def _window(ds: DeterminingSequence, sat_strict: Sequence[bool], sat_weak: Sequence[bool]) -> FVBounds:
+    """The window of fv_bounds from the sigma verdicts on the strict and
+    weak level sets."""
+    N = 2**ds.n
     strict_true = [l for l in range(N + 1) if sat_strict[l]]
     weak_true = [l for l in range(N + 1) if sat_weak[l]]
     weak_false = [l for l in range(N + 1) if not sat_weak[l]]
@@ -493,7 +497,7 @@ def certify_sequence(
     sat_aug = _sigma_verdicts(ds, B, _profile_env(B, augmented))
     sat_shift = _sigma_verdicts(ds, B, _profile_env(B, shifted))
 
-    bounds = fv_bounds(f, n, fam, abar, ds=ds)
+    bounds = _window(ds, sat_strict, sat_weak)
 
     cx: Optional[Counterexample] = None
 

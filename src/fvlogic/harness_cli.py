@@ -131,11 +131,7 @@ class Battery:
 def _battery_terms(sig: Signature) -> tuple[Term, ...]:
     base: list[Term] = [Const(c) for c in sig.consts]
     base += [Var(v) for v in QUANT_VARS]
-    apps = [
-        Apply(f.name, args)
-        for f in sig.funcs
-        for args in itertools.product(base, repeat=f.arity)
-    ]
+    apps = [Apply(f.name, args) for f in sig.funcs for args in itertools.product(base, repeat=f.arity)]
     return tuple(base + apps)
 
 
@@ -151,11 +147,7 @@ def _battery_atoms(sig: Signature) -> list[Formula]:
     out: list[Formula] = [Zero(), One()]
     for p in sig.preds:
         out += [Atomic(p.name, args) for args in itertools.product(ordered, repeat=p.arity)]
-    out += [
-        Dist(ordered[i], ordered[j])
-        for i in range(len(ordered))
-        for j in range(i + 1, len(ordered))
-    ]
+    out += [Dist(ordered[i], ordered[j]) for i in range(len(ordered)) for j in range(i + 1, len(ordered))]
     return list(dict.fromkeys(out))
 
 
@@ -214,9 +206,7 @@ def battery(sig: Signature, depth: int, caps: Optional[ResourceCaps] = None) -> 
             seen.update(picked)
         layers.append(layer)
 
-    sentences = tuple(
-        f for layer in layers for f in layer if not free_vars(f)
-    )
+    sentences = tuple(f for layer in layers for f in layer if not free_vars(f))
     return Battery(sig, depth, sentences)
 
 
@@ -424,14 +414,8 @@ def _relabel(s: FiniteStructure, perm: Sequence[int], tag: str) -> FiniteStructu
     names = {a: f"{tag}{perm[i]}" for i, a in enumerate(s.universe)}
     universe = tuple(names[a] for a in s.universe)
     dist = {(names[a], names[b]): v for (a, b), v in s.dist.items()}
-    preds = {
-        p: {tuple(names[a] for a in tup): v for tup, v in table.items()}
-        for p, table in s.preds.items()
-    }
-    funcs = {
-        f: {tuple(names[a] for a in tup): names[v] for tup, v in table.items()}
-        for f, table in s.funcs.items()
-    }
+    preds = {p: {tuple(names[a] for a in tup): v for tup, v in table.items()} for p, table in s.preds.items()}
+    funcs = {f: {tuple(names[a] for a in tup): names[v] for tup, v in table.items()} for f, table in s.funcs.items()}
     consts = {c: names[v] for c, v in s.consts.items()}
     return FiniteStructure(s.sig, universe, dist, preds, funcs, consts)
 
@@ -681,6 +665,8 @@ def _infer_signature(docs: Sequence[dict]) -> Signature:
     def tensor_depth(node) -> int:
         d = 0
         while isinstance(node, list):
+            if not node:
+                raise ValueError("a predicate or function tensor must not be an empty list")
             node = node[0]
             d += 1
         return d

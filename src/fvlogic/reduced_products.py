@@ -55,7 +55,10 @@ class Family:
         sigs = [self.structures[g].sig for g in self.ideal.omega]
         if any(s != sigs[0] for s in sigs):
             raise ValueError("all structures in a family must share one signature")
+        first_label: dict[int, Any] = {}
         for g in self.ideal.omega:
+            first_label.setdefault(id(self.structures[g]), g)
+        for g in first_label.values():
             v = validate(self.structures[g])
             if v is not None:
                 raise ValueError(f"structure at {g!r} invalid: {v.message}")
@@ -113,15 +116,10 @@ def reduced_product(fam: Family, max_points: Optional[int] = None) -> ReducedPro
         class_index[p] = key_to_idx[k]
 
     def coordwise(f: str, args: tuple[tuple, ...]) -> tuple:
-        return tuple(
-            fam.structures[g].funcs[f][tuple(a[i] for a in args)] for i, g in enumerate(omega)
-        )
+        return tuple(fam.structures[g].funcs[f][tuple(a[i] for a in args)] for i, g in enumerate(omega))
 
     def pred_limsup(pname: str, args: tuple[tuple, ...]) -> Fraction:
-        vals = {
-            g: fam.structures[g].preds[pname][tuple(a[i] for a in args)]
-            for i, g in enumerate(omega)
-        }
+        vals = {g: fam.structures[g].preds[pname][tuple(a[i] for a in args)] for i, g in enumerate(omega)}
         return limsup_ideal(ideal, vals)
 
     labels = _class_labels(reps)
@@ -148,10 +146,7 @@ def reduced_product(fam: Family, max_points: Optional[int] = None) -> ReducedPro
             table[tuple(labels[i] for i in combo)] = labels[class_index[image]]
         funcs[f.name] = table
 
-    consts = {
-        name: labels[class_index[tuple(fam.structures[g].consts[name] for g in omega)]]
-        for name in sig.consts
-    }
+    consts = {name: labels[class_index[tuple(fam.structures[g].consts[name] for g in omega)]] for name in sig.consts}
 
     induced = FiniteStructure(sig, labels, dist, preds, funcs, consts)
     v = validate(induced)

@@ -8,13 +8,15 @@ is `fractions.Fraction`.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Hashable, Mapping, Optional
+from typing import Any, Hashable, Mapping, Optional, Sequence
 
 from . import syntax as sx
-from .syntax import Formula, Signature, Term, format_fraction, parse_fraction
+from .syntax import Formula, FuncSym, PredSym, Signature, Term, format_fraction, parse_fraction
 
 Point = Hashable
 
@@ -53,75 +55,108 @@ class FiniteStructure:
         return self.dist[(a, b)]
 
 
+def _on_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators, and their numerators over it."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _int_dist(U: tuple, dist: Mapping[tuple[Point, Point], Fraction]) -> tuple[int, list[list[int]]]:
+    """The distances as a position-indexed integer matrix over one denominator."""
+    dd, flat = _on_lcm([dist[(a, b)] for a in U for b in U])
+    return dd, [flat[i : i + len(U)] for i in range(0, len(flat), len(U))]
+
+
+def _lipschitz_break(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list) -> Optional[tuple[tuple, tuple]]:
+    """First pair (ta, tb) of position tuples, ta before tb in product
+    order, that breaks `sym`'s modulus on the distance matrix D over
+    denominator dd, or None. `values` holds a predicate's values or a
+    function's image positions in the same order. The condition is
+    symmetric and never fails on (t, t), so this scan of unordered pairs
+    finds the first witness of a scan over all ordered pairs."""
+    lip = sym.lipschitz
+    if isinstance(sym, PredSym):
+        # |P(ta) - P(tb)| > lip * rho, scaled by dp * dd * lip.denominator
+        dp, vals = _on_lcm(values)
+        vals = [x * dd * lip.denominator for x in vals]
+        k, gaps = lip.numerator * dp, lambda i: [abs(vals[i] - y) for y in vals[i + 1 :]]
+    else:
+        # d(f(ta), f(tb)) > lip * rho, scaled by dd * lip.denominator
+        rows = [[x * lip.denominator for x in row] for row in D]
+        k, gaps = lip.numerator, lambda i: [rows[values[i]][y] for y in values[i + 1 :]]
+    Dk = [[k * x for x in row] for row in D]
+    tups = list(itertools.product(range(len(D)), repeat=sym.arity))
+    for i, ta in enumerate(tups):
+        rho = Dk[ta[0]]
+        for x in ta[1:]:
+            rho = [r if r > y else y for r in rho for y in Dk[x]]
+        hit = next(itertools.compress(range(i + 1, len(tups)), map(operator.gt, gaps(i), rho[i + 1 :])), None)
+        if hit is not None:
+            return ta, tups[hit]
+    return None
+
+
 def validate(s: FiniteStructure) -> Optional[Violation]:
     """Check every structure invariant exhaustively; return the first
-    violation found, or None."""
+    violation found, or None.
+
+    Entries are read once onto position-indexed integer tables over the
+    lcm of their denominators, so every later check is exact on ints."""
     n = len(s.universe)
     if not (1 <= n <= MAX_UNIVERSE):
         return Violation("universe", f"universe size {n} outside 1..{MAX_UNIVERSE}")
     if len(set(s.universe)) != n:
         return Violation("universe", "universe labels are not distinct")
     U = s.universe
-    for a in U:
-        for b in U:
-            if (a, b) not in s.dist:
-                return Violation("metric", f"missing distance entry", (a, b))
-            v = s.dist[(a, b)]
-            if not (0 <= v <= 1):
-                return Violation("metric", f"d{(a, b)} = {v} outside [0,1]", (a, b))
-    for a in U:
-        if s.dist[(a, a)] != 0:
+    pos = {a: i for i, a in enumerate(U)}
+    for a, b in itertools.product(U, repeat=2):
+        if (a, b) not in s.dist:
+            return Violation("metric", f"missing distance entry", (a, b))
+        v = s.dist[(a, b)]
+        if not (0 <= v <= 1):
+            return Violation("metric", f"d{(a, b)} = {v} outside [0,1]", (a, b))
+    dd, D = _int_dist(U, s.dist)
+    for i, a in enumerate(U):
+        if D[i][i] != 0:
             return Violation("metric", f"d({a},{a}) nonzero", (a,))
-    for a in U:
-        for b in U:
-            if s.dist[(a, b)] != s.dist[(b, a)]:
-                return Violation("metric", "asymmetric distance", (a, b))
-            if a != b and s.dist[(a, b)] == 0:
-                return Violation("metric", "distinct points at distance 0", (a, b))
-    for a in U:
-        for b in U:
-            for c in U:
-                if s.dist[(a, b)] > s.dist[(a, c)] + s.dist[(c, b)]:
-                    return Violation("metric", "triangle inequality fails", (a, b, c))
-    for p in s.sig.preds:
-        table = s.preds.get(p.name)
+    for (i, a), (j, b) in itertools.product(enumerate(U), repeat=2):
+        if D[i][j] != D[j][i]:
+            return Violation("metric", "asymmetric distance", (a, b))
+        if i != j and D[i][j] == 0:
+            return Violation("metric", "distinct points at distance 0", (a, b))
+    for i, j in itertools.product(range(n), repeat=2):
+        # d(a,b) > d(a,c) + d(c,b), with d(c,b) read as D[j][c] by symmetry
+        if D[i][j] > min(map(operator.add, D[i], D[j])):
+            c = next(c for c in range(n) if D[i][j] > D[i][c] + D[j][c])
+            return Violation("metric", "triangle inequality fails", (U[i], U[j], U[c]))
+    symbols = s.sig.preds + s.sig.funcs
+    kinds = ["predicate"] * len(s.sig.preds) + ["function"] * len(s.sig.funcs)
+    values: list[list] = []
+    for sym, kind in zip(symbols, kinds):
+        table = (s.preds if kind == "predicate" else s.funcs).get(sym.name)
         if table is None:
-            return Violation("table", f"missing predicate table {p.name!r}")
-        for tup in itertools.product(U, repeat=p.arity):
+            return Violation("table", f"missing {kind} table {sym.name!r}")
+        values.append([])
+        for tup in itertools.product(U, repeat=sym.arity):
             if tup not in table:
-                return Violation("table", f"predicate {p.name!r} missing entry", tup)
+                return Violation("table", f"{kind} {sym.name!r} missing entry", tup)
             v = table[tup]
-            if not (0 <= v <= 1):
-                return Violation("table", f"{p.name}{tup} = {v} outside [0,1]", tup)
-    for f in s.sig.funcs:
-        table = s.funcs.get(f.name)
-        if table is None:
-            return Violation("table", f"missing function table {f.name!r}")
-        for tup in itertools.product(U, repeat=f.arity):
-            if tup not in table:
-                return Violation("table", f"function {f.name!r} missing entry", tup)
-            if table[tup] not in set(U):
-                return Violation("table", f"{f.name}{tup} maps outside the universe", tup)
+            if kind == "predicate" and not (0 <= v <= 1):
+                return Violation("table", f"{sym.name}{tup} = {v} outside [0,1]", tup)
+            if kind == "function" and v not in pos:
+                return Violation("table", f"{sym.name}{tup} maps outside the universe", tup)
+            values[-1].append(v if kind == "predicate" else pos[v])
     for name in s.sig.consts:
         if name not in s.consts:
             return Violation("table", f"missing constant {name!r}")
-        if s.consts[name] not in set(U):
+        if s.consts[name] not in pos:
             return Violation("table", f"constant {name!r} outside the universe")
-    # uniform continuity (Lipschitz) over all tuple pairs
-    for p in s.sig.preds:
-        table = s.preds[p.name]
-        for ta in itertools.product(U, repeat=p.arity):
-            for tb in itertools.product(U, repeat=p.arity):
-                rho = max(s.dist[(x, y)] for x, y in zip(ta, tb))
-                if abs(table[ta] - table[tb]) > p.lipschitz * rho:
-                    return Violation("lipschitz", f"predicate {p.name!r} breaks its modulus", (ta, tb))
-    for f in s.sig.funcs:
-        table = s.funcs[f.name]
-        for ta in itertools.product(U, repeat=f.arity):
-            for tb in itertools.product(U, repeat=f.arity):
-                rho = max(s.dist[(x, y)] for x, y in zip(ta, tb))
-                if s.dist[(table[ta], table[tb])] > f.lipschitz * rho:
-                    return Violation("lipschitz", f"function {f.name!r} breaks its modulus", (ta, tb))
+    # uniform continuity (Lipschitz) over all pairs of argument tuples
+    for sym, kind, vals in zip(symbols, kinds, values):
+        hit = _lipschitz_break(D, dd, sym, vals)
+        if hit is not None:
+            witness = tuple(tuple(U[x] for x in t) for t in hit)
+            return Violation("lipschitz", f"{kind} {sym.name!r} breaks its modulus", witness)
     return None
 
 
@@ -146,11 +181,14 @@ def evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] 
     val = dict(val or {})
     fv_cache: dict[int, tuple[str, ...]] = {}
 
-    def fv(g: Formula) -> tuple[str, ...]:
+    def fv(g: Formula | Term) -> tuple[str, ...]:
+        # free variables in first-occurrence order, merged from the
+        # children's; Sup and Inf drop their bound variable
         got = fv_cache.get(id(g))
         if got is None:
-            got = tuple(sx.free_vars(g))
-            fv_cache[id(g)] = got
+            kids = getattr(g, "args", ()) or [getattr(g, k) for k in ("left", "right", "body") if hasattr(g, k)]
+            merged = dict.fromkeys(v for c in kids for v in fv(c) if v != getattr(g, "var", None))
+            got = fv_cache[id(g)] = (g.name,) if isinstance(g, sx.Var) else tuple(merged)
         return got
 
     memo: dict[tuple, Fraction] = {}
@@ -209,15 +247,6 @@ def evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] 
 # random generation
 
 
-def _shortest_path_closure(U: tuple, dist: dict) -> None:
-    for c in U:
-        for a in U:
-            for b in U:
-                via = dist[(a, c)] + dist[(c, b)]
-                if via < dist[(a, b)]:
-                    dist[(a, b)] = via
-
-
 def random_structure(sig: Signature, size: int, seed: int, grid: int = 16) -> FiniteStructure:
     """Deterministically generate a valid structure of the given size.
 
@@ -238,31 +267,23 @@ def random_structure(sig: Signature, size: int, seed: int, grid: int = 16) -> Fi
         for b in U[:i]:
             v = Fraction(rng.randint(0, grid), grid)
             dist[(a, b)] = dist[(b, a)] = v
-    _shortest_path_closure(U, dist)
-    for a in U:
-        for b in U:
-            if a != b and dist[(a, b)] == 0:
-                dist[(a, b)] = Fraction(1, grid)
+    for c, a, b in itertools.product(U, repeat=3):  # shortest-path closure
+        dist[(a, b)] = min(dist[(a, b)], dist[(a, c)] + dist[(c, b)])
+    for a, b in itertools.product(U, repeat=2):
+        if a != b and dist[(a, b)] == 0:
+            dist[(a, b)] = Fraction(1, grid)
+    dd, D = _int_dist(U, dist)
 
     preds: dict[str, dict[tuple, Fraction]] = {}
     for p in sig.preds:
-        raw = {
-            tup: Fraction(rng.randint(0, grid), grid)
-            for tup in itertools.product(U, repeat=p.arity)
-        }
+        raw = {tup: Fraction(rng.randint(0, grid), grid) for tup in itertools.product(U, repeat=p.arity)}
         mean = sum(raw.values(), Fraction(0)) / len(raw)
 
         def blend(lam: Fraction) -> dict[tuple, Fraction]:
             return {tup: mean + lam * (v - mean) for tup, v in raw.items()}
 
         def passes(lam: Fraction) -> bool:
-            t = blend(lam)
-            for ta in t:
-                for tb in t:
-                    rho = max(dist[(x, y)] for x, y in zip(ta, tb))
-                    if abs(t[ta] - t[tb]) > p.lipschitz * rho:
-                        return False
-            return True
+            return _lipschitz_break(D, dd, p, list(blend(lam).values())) is None
 
         if passes(Fraction(1)):
             preds[p.name] = raw
@@ -280,23 +301,12 @@ def random_structure(sig: Signature, size: int, seed: int, grid: int = 16) -> Fi
     for f in sig.funcs:
         table = None
         for _ in range(64):
-            cand = {
-                tup: U[rng.randrange(size)]
-                for tup in itertools.product(U, repeat=f.arity)
-            }
-            ok = all(
-                dist[(cand[ta], cand[tb])] <= f.lipschitz * max(dist[(x, y)] for x, y in zip(ta, tb))
-                for ta in cand
-                for tb in cand
-            )
-            if ok:
-                table = cand
+            cand = [rng.randrange(size) for _ in range(size**f.arity)]
+            if _lipschitz_break(D, dd, f, cand) is None:
+                table = dict(zip(itertools.product(U, repeat=f.arity), (U[x] for x in cand)))
                 break
-        if table is None:
-            if f.lipschitz >= 1:
-                table = {tup: tup[0] for tup in itertools.product(U, repeat=f.arity)}
-            else:
-                table = {tup: U[0] for tup in itertools.product(U, repeat=f.arity)}
+        if table is None:  # a projection, or a constant map when the modulus is below 1
+            table = {tup: tup[0] if f.lipschitz >= 1 else U[0] for tup in itertools.product(U, repeat=f.arity)}
         funcs[f.name] = table
 
     consts = {name: U[rng.randrange(size)] for name in sig.consts}

@@ -4,6 +4,8 @@ from fractions import Fraction
 from typing import Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from fvlogic import boolean_ideals as bi
 from fvlogic import fv_translator as fvt
@@ -131,6 +133,16 @@ def test_limsup_constant_and_core_shortcut():
             assert limsup_ideal(I, r) == expect
             c = Fraction(5, 8)
             assert limsup_ideal(I, {g: c for g in omega}) == c
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.data())
+def test_limsup_is_max_over_core_property(data):
+    omega = tuple(range(data.draw(hs.integers(1, 6), label="omega size")))
+    sstar = data.draw(hs.sets(hs.sampled_from(omega), max_size=len(omega) - 1), label="S*")
+    values = {g: data.draw(hs.fractions(0, 1, max_denominator=24), label=f"r({g})") for g in omega}
+    ideal = close_ideal(omega, [sstar] if sstar else [])
+    assert limsup_ideal(ideal, values) == max(values[g] for g in ideal.core)
 
 
 def test_ideal_json_round_trip():

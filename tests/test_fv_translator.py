@@ -338,6 +338,27 @@ def test_fv_bounds_trivial_ideal_tightens():
     assert b.cert_lower == Fraction(1, 2)
 
 
+def test_certify_bounds_equal_fv_bounds_on_battery_sentences():
+    # certify reads its window off the verdicts it already computed;
+    # fv_bounds computes them afresh from the same inputs
+    caps = hc.load_caps()
+    sentences = hc.battery(hc.BATTERY_SIG, 3, caps).sentences[::9]
+    fams = [
+        Family(ideal, {g: random_structure(hc.BATTERY_SIG, 1 + g % 3, seed=g) for g in ideal.omega})
+        for ideal in (trivial_ideal((1, 2)), close_ideal((1, 2, 3), [{2}]))
+    ]
+    checked = 0
+    for sent in sentences:
+        for n in range(3):
+            m, g = translation_cost(sent, n)
+            if m > caps.max_psis or g > caps.max_guard_vars:
+                continue
+            for fam in fams:
+                assert certify(sent, n, fam, {}).bounds == fv_bounds(sent, n, fam, {})
+                checked += 1
+    assert checked >= 20
+
+
 # --------------------------------------------------------------------------
 # certification
 

@@ -477,6 +477,18 @@ def test_cli_translate_rejects_a_list_signature(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_cli_eval_rejects_an_empty_tensor(tmp_path):
+    # signature inference reads arities off tensor nesting; an empty
+    # predicate tensor has no depth to read
+    doc = {"universe": ["a"], "dist": [["0"]], "preds": {"P": []}, "funcs": {}, "consts": {}}
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    proc = run_fv("eval", "--structure", str(tmp_path / "s.json"), "--formula", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "empty" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_rp_needs_inputs(files):
     assert hc.cli(["rp"]) == 2
 

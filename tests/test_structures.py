@@ -1,9 +1,16 @@
+import itertools
+import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
+from fvlogic import harness_cli as hc
+from fvlogic import reduced_products as rp
 from fvlogic import structures as st
 from fvlogic import syntax as sx
+from fvlogic.boolean_ideals import trivial_ideal
+from fvlogic.structures import MAX_UNIVERSE, FiniteStructure, Violation
 from fvlogic.syntax import FuncSym, PredSym, Signature, parse
 
 SIG = Signature(
@@ -190,3 +197,206 @@ def test_from_json_rejects_bad_shapes(field, value):
     doc[field] = value
     with pytest.raises(ValueError, match=field):
         st.from_json(doc, SIG)
+
+
+# --------------------------------------------------------------------------
+# the integer validate against the Fraction validate it replaced
+
+
+# The exhaustive Fraction validate that structures.validate ran before it
+# read its tables onto position-indexed integers, kept verbatim as the
+# differential reference.
+def reference_validate(s: FiniteStructure) -> Optional[Violation]:
+    """Check every structure invariant exhaustively; return the first
+    violation found, or None."""
+    n = len(s.universe)
+    if not (1 <= n <= MAX_UNIVERSE):
+        return Violation("universe", f"universe size {n} outside 1..{MAX_UNIVERSE}")
+    if len(set(s.universe)) != n:
+        return Violation("universe", "universe labels are not distinct")
+    U = s.universe
+    for a in U:
+        for b in U:
+            if (a, b) not in s.dist:
+                return Violation("metric", f"missing distance entry", (a, b))
+            v = s.dist[(a, b)]
+            if not (0 <= v <= 1):
+                return Violation("metric", f"d{(a, b)} = {v} outside [0,1]", (a, b))
+    for a in U:
+        if s.dist[(a, a)] != 0:
+            return Violation("metric", f"d({a},{a}) nonzero", (a,))
+    for a in U:
+        for b in U:
+            if s.dist[(a, b)] != s.dist[(b, a)]:
+                return Violation("metric", "asymmetric distance", (a, b))
+            if a != b and s.dist[(a, b)] == 0:
+                return Violation("metric", "distinct points at distance 0", (a, b))
+    for a in U:
+        for b in U:
+            for c in U:
+                if s.dist[(a, b)] > s.dist[(a, c)] + s.dist[(c, b)]:
+                    return Violation("metric", "triangle inequality fails", (a, b, c))
+    for p in s.sig.preds:
+        table = s.preds.get(p.name)
+        if table is None:
+            return Violation("table", f"missing predicate table {p.name!r}")
+        for tup in itertools.product(U, repeat=p.arity):
+            if tup not in table:
+                return Violation("table", f"predicate {p.name!r} missing entry", tup)
+            v = table[tup]
+            if not (0 <= v <= 1):
+                return Violation("table", f"{p.name}{tup} = {v} outside [0,1]", tup)
+    for f in s.sig.funcs:
+        table = s.funcs.get(f.name)
+        if table is None:
+            return Violation("table", f"missing function table {f.name!r}")
+        for tup in itertools.product(U, repeat=f.arity):
+            if tup not in table:
+                return Violation("table", f"function {f.name!r} missing entry", tup)
+            if table[tup] not in set(U):
+                return Violation("table", f"{f.name}{tup} maps outside the universe", tup)
+    for name in s.sig.consts:
+        if name not in s.consts:
+            return Violation("table", f"missing constant {name!r}")
+        if s.consts[name] not in set(U):
+            return Violation("table", f"constant {name!r} outside the universe")
+    # uniform continuity (Lipschitz) over all tuple pairs
+    for p in s.sig.preds:
+        table = s.preds[p.name]
+        for ta in itertools.product(U, repeat=p.arity):
+            for tb in itertools.product(U, repeat=p.arity):
+                rho = max(s.dist[(x, y)] for x, y in zip(ta, tb))
+                if abs(table[ta] - table[tb]) > p.lipschitz * rho:
+                    return Violation("lipschitz", f"predicate {p.name!r} breaks its modulus", (ta, tb))
+    for f in s.sig.funcs:
+        table = s.funcs[f.name]
+        for ta in itertools.product(U, repeat=f.arity):
+            for tb in itertools.product(U, repeat=f.arity):
+                rho = max(s.dist[(x, y)] for x, y in zip(ta, tb))
+                if s.dist[(table[ta], table[tb])] > f.lipschitz * rho:
+                    return Violation("lipschitz", f"function {f.name!r} breaks its modulus", (ta, tb))
+    return None
+
+
+# moduli whose denominators are not 1, so both sides of each Lipschitz
+# inequality need their own scaling
+ODD_SIG = Signature(
+    preds=(PredSym("P", 1, Fraction(3, 2)),),
+    funcs=(FuncSym("g", 2, Fraction(3, 2)),),
+    consts=("c",),
+)
+SIGS = [hc.BATTERY_SIG, hc.UNARY_SIG, ODD_SIG]
+
+
+def outcome(v: Optional[Violation]) -> Optional[tuple]:
+    return None if v is None else (v.kind, v.message, v.witness)
+
+
+def assert_same(s: FiniteStructure) -> Optional[tuple]:
+    got = outcome(st.validate(s))
+    assert got == outcome(reference_validate(s))
+    return got
+
+
+@pytest.mark.parametrize("sig", SIGS, ids=["binary-g", "unary-g", "odd-moduli"])
+def test_validate_matches_reference_on_random_structures(sig):
+    for size in range(1, MAX_UNIVERSE + 1):
+        assert assert_same(st.random_structure(sig, size, seed=size)) is None
+
+
+def test_validate_matches_reference_on_induced_structures():
+    caps = hc.load_caps()
+    rng = random.Random(5)
+    fams = [hc.random_family(hc.BATTERY_SIG, rng, caps) for _ in range(12)]
+    # a 16-class product with binary g: the largest induced structure
+    fams.append(rp.Family(trivial_ideal((1, 2)), {g: st.random_structure(hc.BATTERY_SIG, 4, g) for g in (1, 2)}))
+    sizes = set()
+    for fam in fams:
+        R = rp.reduced_product(fam)
+        sizes.add(len(R.structure.universe))
+        assert assert_same(R.structure) is None
+    assert MAX_UNIVERSE in sizes and len(sizes) >= 4
+
+
+def _edit(s: FiniteStructure, rng: random.Random, change) -> FiniteStructure:
+    dist = dict(s.dist)
+    preds = {name: dict(t) for name, t in s.preds.items()}
+    funcs = {name: dict(t) for name, t in s.funcs.items()}
+    consts = dict(s.consts)
+    change(rng, s.universe, dist, preds, funcs, consts)
+    return FiniteStructure(s.sig, s.universe, dist, preds, funcs, consts)
+
+
+def _pair(rng, U, distinct=True):
+    a = rng.choice(U)
+    b = rng.choice([u for u in U if u != a] if distinct else U)
+    return a, b
+
+
+def _set(table, key, v):
+    table[key] = v
+
+
+def _set_both(dist, a, b, v):
+    dist[(a, b)] = dist[(b, a)] = v
+
+
+def _some_key(rng, table):
+    return rng.choice(sorted(table))
+
+
+# (expected message fragment, single-entry mutation); values with odd
+# denominators make the lcm of a table differ from the grid's 16
+MUTATIONS = [
+    ("missing distance entry", lambda r, U, d, p, f, c: d.pop(_pair(r, U, False))),
+    ("outside [0,1]", lambda r, U, d, p, f, c: _set(d, _pair(r, U, False), r.choice([Fraction(-1, 3), Fraction(4, 3)]))),
+    ("nonzero", lambda r, U, d, p, f, c: _set(d, (r.choice(U),) * 2, Fraction(1, 3))),
+    ("asymmetric", lambda r, U, d, p, f, c: _set(d, _pair(r, U), Fraction(r.randint(1, 8), 9))),
+    ("distinct points at distance 0", lambda r, U, d, p, f, c: _set_both(d, *_pair(r, U), Fraction(0))),
+    ("triangle", lambda r, U, d, p, f, c: _set_both(d, *_pair(r, U), Fraction(1))),
+    ("triangle", lambda r, U, d, p, f, c: _set_both(d, *_pair(r, U), Fraction(r.randint(1, 9), 9))),
+    ("predicate 'P' missing entry", lambda r, U, d, p, f, c: p["P"].pop(_some_key(r, p["P"]))),
+    ("outside [0,1]", lambda r, U, d, p, f, c: _set(p["P"], _some_key(r, p["P"]), Fraction(5, 4))),
+    ("predicate 'P' breaks", lambda r, U, d, p, f, c: _set(p["P"], _some_key(r, p["P"]), Fraction(r.randint(0, 21), 21))),
+    ("missing predicate table", lambda r, U, d, p, f, c: p.pop("P")),
+    ("function 'g' missing entry", lambda r, U, d, p, f, c: f["g"].pop(_some_key(r, f["g"]))),
+    ("function 'g' breaks", lambda r, U, d, p, f, c: _set(f["g"], _some_key(r, f["g"]), r.choice(U))),
+    ("maps outside the universe", lambda r, U, d, p, f, c: _set(f["g"], _some_key(r, f["g"]), "zz")),
+    ("missing function table", lambda r, U, d, p, f, c: f.pop("g")),
+    ("missing constant", lambda r, U, d, p, f, c: c.pop("c")),
+    ("constant 'c' outside", lambda r, U, d, p, f, c: _set(c, "c", "zz")),
+]
+
+
+@pytest.mark.parametrize("fragment, change", MUTATIONS, ids=[f"{i:02d}-{m[0]}" for i, m in enumerate(MUTATIONS)])
+def test_validate_matches_reference_on_single_entry_mutations(fragment, change):
+    hits = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        sig = SIGS[seed % 3]
+        s = _edit(st.random_structure(sig, 2 + seed % 5, seed), rng, change)
+        got = assert_same(s)
+        hits += got is not None and fragment in got[1]
+    assert hits > 0
+
+
+@pytest.mark.parametrize(
+    "p_a, p_b, lip, dab, ok",
+    [
+        (Fraction(0), Fraction(3, 4), Fraction(3, 2), Fraction(1, 2), True),
+        (Fraction(0), Fraction(76, 100), Fraction(3, 2), Fraction(1, 2), False),
+        (Fraction(1, 10), Fraction(1, 10) + Fraction(3, 10), Fraction(3, 2), Fraction(1, 5), True),
+        (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), True),
+        (Fraction(1, 2), Fraction(0), Fraction(2, 3), Fraction(3, 4), True),
+        (Fraction(0), Fraction(501, 1000), Fraction(2, 3), Fraction(3, 4), False),
+        (Fraction(1, 7), Fraction(1, 7) + Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), True),
+        (Fraction(1, 7) + Fraction(1, 3), Fraction(1, 7), Fraction(2, 3), Fraction(1, 2) - Fraction(1, 100), False),
+        (Fraction(2, 5), Fraction(0), Fraction(2, 3), Fraction(3, 5), True),
+        (Fraction(2, 5), Fraction(0), Fraction(2, 3), Fraction(1, 2), False),
+    ],
+)
+def test_validate_modulus_boundary_matches_reference(p_a, p_b, lip, dab, ok):
+    got = assert_same(two_point(p_a, p_b, lip, dab))
+    assert (got is None) == ok
+    if not ok:
+        assert got[0] == "lipschitz" and got[2] == (("a",), ("b",))
