@@ -29,10 +29,10 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .boolean_ideals import (
     ATOMS,
@@ -71,6 +71,7 @@ from .syntax import (
     One,
     Sup,
     Zero,
+    children,
     free_vars,
     is_restricted,
     normalize_restricted,
@@ -99,16 +100,18 @@ class DeterminingSequence:
     tm: tuple[int, ...]
     sm: tuple[int, ...]
     zmax: int
+    psi_freevars: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         L = 2**self.n + 1
         for name, vec in (("sigmas", self.sigmas), ("t", self.t), ("s", self.s), ("tm", self.tm), ("sm", self.sm)):
             if len(vec) != L:
                 raise ValueError(f"{name} must have {L} entries")
-        for psi in self.psis:
+        object.__setattr__(self, "psi_freevars", tuple(tuple(free_vars(psi)) for psi in self.psis))
+        for psi, names in zip(self.psis, self.psi_freevars):
             if not is_restricted(psi):
                 raise ValueError("every subformula must be restricted")
-            if not set(free_vars(psi)) <= set(self.freevars):
+            if not set(names) <= set(self.freevars):
                 raise ValueError("subformula mentions a variable outside the scope")
 
     @property
@@ -143,53 +146,26 @@ def translate(f: Formula, n: int) -> DeterminingSequence:
     hit = _MEMO.get(key)
     if hit is not None:
         return hit
-    ds = _translate(f, n)
-    _MEMO[key] = ds
+    f, rules, kids = _step(f, n, translate)
+    ds = _MEMO[key] = rules[0](f, n, tuple(free_vars(f)), *kids)
     return ds
 
 
-def _translate(f: Formula, n: int) -> DeterminingSequence:
+def _translate_leaf(f: Formula, n: int, fv: tuple[str, ...]) -> DeterminingSequence:
+    # the constant 1 exceeds i/2^n exactly for i < 2^n, so the atomic
+    # sigma shape reads the right sets for it as well
     L = 2**n + 1
-    fv = tuple(free_vars(f))
-
-    if isinstance(f, (Atomic, Dist)):
-        sigmas = tuple(NotZero(BVar(yname(0, i))) for i in range(L))
-        return DeterminingSequence(n, fv, sigmas, (f,), _zero_vec(L), _zero_vec(L), _zero_vec(L), (1,) * L, 0)
-
-    if isinstance(f, Zero):
-        sigmas = tuple(b_false() for _ in range(L))
-        return DeterminingSequence(n, fv, sigmas, (Zero(),), _zero_vec(L), _zero_vec(L), _zero_vec(L), _zero_vec(L), 0)
-
-    if isinstance(f, One):
-        # the constant 1 exceeds i/2^n exactly for i < 2^n, so the
-        # atomic sigma shape reads the right sets here as well
-        sigmas = tuple(NotZero(BVar(yname(0, i))) for i in range(L))
-        return DeterminingSequence(n, fv, sigmas, (One(),), _zero_vec(L), _zero_vec(L), _zero_vec(L), _zero_vec(L), 0)
-
-    if isinstance(f, Half):
-        return _translate_half(f, n, fv)
-
-    if isinstance(f, Monus):
-        return _translate_monus(f, n, fv)
-
-    if isinstance(f, Sup):
-        return _translate_sup(f, n, fv)
-
-    if isinstance(f, Inf):
-        rewritten = Monus(One(), Sup(f.var, Monus(One(), f.body)))
-        ds = translate(rewritten, n)
-        return replace(ds, freevars=fv)
-
-    raise ValueError(f"cannot translate {type(f).__name__}; normalize derived connectives first")
+    sigmas = tuple(b_false() if isinstance(f, Zero) else NotZero(BVar(yname(0, i))) for i in range(L))
+    sm = (1,) * L if isinstance(f, (Atomic, Dist)) else _zero_vec(L)
+    return DeterminingSequence(n, fv, sigmas, (f,), _zero_vec(L), _zero_vec(L), _zero_vec(L), sm, 0)
 
 
 def _ceil_half(a: int) -> int:
     return (a + 1) // 2
 
 
-def _translate_half(f: Half, n: int, fv: tuple[str, ...]) -> DeterminingSequence:
+def _translate_half(f: Half, n: int, fv: tuple[str, ...], child: DeterminingSequence) -> DeterminingSequence:
     if n == 0:
-        child = translate(f.body, 0)
         psis = tuple(Half(p) for p in child.psis)
         s0 = _ceil_half(child.s[0])
         if not _reads_only_level0(child.sigmas[0]):
@@ -201,7 +177,6 @@ def _translate_half(f: Half, n: int, fv: tuple[str, ...]) -> DeterminingSequence
         tm = (max(0, _ceil_half(child.tm[0] - 1)), _ceil_half(child.tm[1]))
         return DeterminingSequence(0, fv, child.sigmas, psis, t, (s0, 0), tm, (1, 0), child.zmax)
 
-    child = translate(f.body, n - 1)
     H = 2 ** (n - 1)
     sigmas = list(child.sigmas)
     t = list(child.t)
@@ -224,9 +199,7 @@ def _translate_half(f: Half, n: int, fv: tuple[str, ...]) -> DeterminingSequence
     return DeterminingSequence(n, fv, tuple(sigmas), psis, tuple(t), tuple(s), tuple(tm), tuple(sm), child.zmax)
 
 
-def _translate_monus(f: Monus, n: int, fv: tuple[str, ...]) -> DeterminingSequence:
-    ds1 = translate(f.left, n)
-    ds2 = translate(f.right, n)
+def _translate_monus(f: Monus, n: int, fv: tuple[str, ...], ds1: DeterminingSequence, ds2: DeterminingSequence) -> DeterminingSequence:
     N = 2**n
     m1 = ds1.m
     flip = {
@@ -269,8 +242,7 @@ def _sup_profiles(mc: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _translate_sup(f: Sup, n: int, fv: tuple[str, ...]) -> DeterminingSequence:
-    child = translate(f.body, n)
+def _translate_sup(f: Sup, n: int, fv: tuple[str, ...], child: DeterminingSequence) -> DeterminingSequence:
     mc = child.m
     N = 2**n
     K = child.zmax
@@ -307,7 +279,32 @@ def _translate_sup(f: Sup, n: int, fv: tuple[str, ...]) -> DeterminingSequence:
 
 
 # --------------------------------------------------------------------------
-# cost estimation (used to gate batteries before translating)
+# the structural induction shared by translate and translation_cost
+
+
+# Each restricted connective's translation rule and its cost rule, the
+# pair (number of subformulas, widest guarded block) that the translation
+# has. Both rules get f, the precision and the results for f's connective
+# children; the translation rule gets f's free variables after n.
+_RULES: dict[type, tuple[Callable[..., DeterminingSequence], Callable[..., tuple[int, int]]]] = {
+    **dict.fromkeys((Atomic, Dist, Zero, One), (_translate_leaf, lambda f, n: (1, 0))),
+    Half: (_translate_half, lambda f, n, c: c),
+    Monus: (_translate_monus, lambda f, n, a, b: (a[0] + b[0], max(a[1], b[1]))),
+    Sup: (_translate_sup, lambda f, n, c: ((2**n + 2) ** c[0] - 1, max(c[1], c[0] * 2**n))),
+}
+
+
+def _step(f: Formula, n: int, recurse: Callable) -> tuple[Formula, tuple[Callable, Callable], list]:
+    """f with inf read as 1 -. sup (1 -. body), f's rules, and recurse
+    applied to each connective child of f at the precision its rule reads:
+    n - 1 under half, never below 0, and n otherwise."""
+    if isinstance(f, Inf):
+        f = Monus(One(), Sup(f.var, Monus(One(), f.body)))
+    rules = _RULES.get(type(f))
+    if rules is None:
+        raise ValueError(f"cannot translate {type(f).__name__}; normalize derived connectives first")
+    kids = () if isinstance(f, (Atomic, Dist)) else children(f)
+    return f, rules, list(map(recurse, kids, itertools.repeat(max(0, n - 1) if isinstance(f, Half) else n)))
 
 
 def translation_cost(f: Formula, n: int) -> tuple[int, int]:
@@ -317,20 +314,8 @@ def translation_cost(f: Formula, n: int) -> tuple[int, int]:
 
 
 def _cost(f: Formula, n: int) -> tuple[int, int]:
-    if isinstance(f, (Atomic, Dist, Zero, One)):
-        return 1, 0
-    if isinstance(f, Half):
-        return _cost(f.body, max(0, n - 1))
-    if isinstance(f, Monus):
-        m1, g1 = _cost(f.left, n)
-        m2, g2 = _cost(f.right, n)
-        return m1 + m2, max(g1, g2)
-    if isinstance(f, Sup):
-        mc, gc = _cost(f.body, n)
-        return (2**n + 2) ** mc - 1, max(gc, mc * 2**n)
-    if isinstance(f, Inf):
-        return _cost(Monus(One(), Sup(f.var, Monus(One(), f.body))), n)
-    raise ValueError(f"cannot estimate {type(f).__name__}")
+    f, rules, kids = _step(f, n, _cost)
+    return rules[1](f, n, *kids)
 
 
 # --------------------------------------------------------------------------
@@ -352,8 +337,7 @@ def level_sets(ds: DeterminingSequence, fam: Family, abar: Mapping[str, tuple]) 
     N = 2**ds.n
     strict = []
     weak = []
-    for psi in ds.psis:
-        names = free_vars(psi)
+    for psi, names in zip(ds.psis, ds.psi_freevars):
         vals = {}
         for i, g in enumerate(omega):
             env = {v: abar[v][i] for v in names}

@@ -139,10 +139,7 @@ def _battery_atoms(sig: Signature) -> list[Formula]:
     """Closed atoms first so they survive pool truncation and the depth
     zero battery is exactly {Zero, One} plus the constant atoms."""
     terms = _battery_terms(sig)
-    # free variables of a bare term: reuse the formula walker via Dist
-    closed = [t for t in terms if not free_vars(Dist(t, t))]
-    open_terms = [t for t in terms if free_vars(Dist(t, t))]
-    ordered = closed + open_terms
+    ordered = sorted(terms, key=lambda t: bool(free_vars(t)))
 
     out: list[Formula] = [Zero(), One()]
     for p in sig.preds:

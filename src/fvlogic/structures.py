@@ -13,7 +13,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Hashable, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
 
 from . import syntax as sx
 from .syntax import Formula, FuncSym, PredSym, Signature, Term, format_fraction, parse_fraction
@@ -164,83 +164,75 @@ def validate(s: FiniteStructure) -> Optional[Violation]:
 # evaluation
 
 
-def eval_term(s: FiniteStructure, t: Term, val: Mapping[str, Point]) -> Point:
-    if isinstance(t, sx.Var):
-        try:
-            return val[t.name]
-        except KeyError:
-            raise ValueError(f"unbound variable {t.name!r}") from None
-    if isinstance(t, sx.Const):
-        return s.consts[t.name]
-    return s.funcs[t.func][tuple(eval_term(s, a, val) for a in t.args)]
+# Each node's value from its children's: a connective's truth function or
+# a lookup in the structure. `evaluate` reads Var, Sup and Inf itself.
+_SEMANTICS: dict[type, Callable[..., Any]] = {
+    sx.Const: lambda s, g: s.consts[g.name],
+    sx.Apply: lambda s, g, *xs: s.funcs[g.func][xs],
+    sx.Atomic: lambda s, g, *xs: s.preds[g.pred][xs],
+    sx.Dist: lambda s, g, *xs: s.dist[xs],
+    sx.Zero: lambda s, g: Fraction(0),
+    sx.One: lambda s, g: Fraction(1),
+    sx.DyadicConst: lambda s, g: Fraction(g.num, 2**g.denom_log2),
+    sx.Half: lambda s, g, x: x / 2,
+    sx.Monus: lambda s, g, x, y: x - y if x >= y else Fraction(0),
+    sx.Min: lambda s, g, x, y: min(x, y),
+    sx.Max: lambda s, g, x, y: max(x, y),
+    sx.Neg: lambda s, g, x: 1 - x,
+}
 
 
 def evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] = None) -> Fraction:
     """Evaluate `f` in `s` under `val`. Handles derived connectives
     directly (exactly), so it can serve as the oracle for normalization."""
-    val = dict(val or {})
-    fv_cache: dict[int, tuple[str, ...]] = {}
+    env = dict(val or {})
+    # each node's free variables in first-occurrence order (Sup and Inf
+    # drop their bound variable), semantics row and children, by id
+    nodes: dict[int, tuple[tuple[str, ...], Optional[Callable[..., Any]], tuple]] = {}
 
-    def fv(g: Formula | Term) -> tuple[str, ...]:
-        # free variables in first-occurrence order, merged from the
-        # children's; Sup and Inf drop their bound variable
-        got = fv_cache.get(id(g))
+    def prepare(g: Formula | Term) -> tuple[tuple[str, ...], Optional[Callable[..., Any]], tuple]:
+        got = nodes.get(id(g))
         if got is None:
-            kids = getattr(g, "args", ()) or [getattr(g, k) for k in ("left", "right", "body") if hasattr(g, k)]
-            merged = dict.fromkeys(v for c in kids for v in fv(c) if v != getattr(g, "var", None))
-            got = fv_cache[id(g)] = (g.name,) if isinstance(g, sx.Var) else tuple(merged)
+            kids = sx.children(g)
+            below = list(map(prepare, kids))
+            names = dict.fromkeys(itertools.chain((g.name,) if isinstance(g, sx.Var) else (), *[c[0] for c in below]))
+            if isinstance(g, (sx.Sup, sx.Inf)):
+                names.pop(g.var, None)
+            got = nodes[id(g)] = (tuple(names), _SEMANTICS.get(type(g)), kids)
         return got
 
-    memo: dict[tuple, Fraction] = {}
+    # values by node and the values of its free variables in env
+    memo: dict[tuple, Any] = {}
 
-    def go(g: Formula, env: dict[str, Point]) -> Fraction:
-        key = (id(g), tuple((v, env[v]) for v in fv(g)))
+    def go(g: Formula | Term) -> Any:
+        if isinstance(g, sx.Var):
+            return env[g.name]
+        names, row, kids = nodes[id(g)]
+        key = (id(g), tuple(map(env.__getitem__, names)))
         got = memo.get(key)
         if got is not None:
             return got
-        if isinstance(g, sx.Zero):
-            out = Fraction(0)
-        elif isinstance(g, sx.One):
-            out = Fraction(1)
-        elif isinstance(g, sx.DyadicConst):
-            out = Fraction(g.num, 2**g.denom_log2)
-        elif isinstance(g, sx.Atomic):
-            out = s.preds[g.pred][tuple(eval_term(s, a, env) for a in g.args)]
-        elif isinstance(g, sx.Dist):
-            out = s.dist[(eval_term(s, g.left, env), eval_term(s, g.right, env))]
-        elif isinstance(g, sx.Half):
-            out = go(g.body, env) / 2
-        elif isinstance(g, sx.Monus):
-            x = go(g.left, env)
-            y = go(g.right, env)
-            out = x - y if x >= y else Fraction(0)
-        elif isinstance(g, sx.Min):
-            out = min(go(g.left, env), go(g.right, env))
-        elif isinstance(g, sx.Max):
-            out = max(go(g.left, env), go(g.right, env))
-        elif isinstance(g, sx.Neg):
-            out = 1 - go(g.body, env)
-        elif isinstance(g, (sx.Sup, sx.Inf)):
+        if row is None:
             agg = max if isinstance(g, sx.Sup) else min
             saved = env.get(g.var)
             vals = []
             for u in s.universe:
                 env[g.var] = u
-                vals.append(go(g.body, env))
+                vals.append(go(kids[0]))
             if saved is None:
                 env.pop(g.var, None)
             else:
                 env[g.var] = saved
             out = agg(vals)
         else:
-            raise TypeError(f"unknown formula node {g!r}")
+            out = row(s, g, *map(go, kids))
         memo[key] = out
         return out
 
-    missing = [v for v in fv(f) if v not in val]
+    missing = [v for v in prepare(f)[0] if v not in env]
     if missing:
         raise ValueError(f"unbound variable {missing[0]!r}")
-    return go(f, val)
+    return go(f)
 
 
 # --------------------------------------------------------------------------

@@ -17,14 +17,24 @@ Concrete grammar accepted by `parse`:
 A quantifier body extends as far right as possible, so a quantified
 formula appearing as a monus operand must be parenthesized (the printer
 does this).
+
+`parse` rejects, with a ParseError, a formula whose syntax tree is more
+than MAX_DEPTH = 100 nodes deep, terms included; a monus chain of k
+operands is at least k deep. The walkers recurse along the tree, and at
+the limit a chain of any one connective stays inside Python's default
+recursion limit in each of them, translation_cost on its normal form
+included.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Callable, Mapping, Optional, Union
 
 RESERVED_NAMES = frozenset({"sup", "inf", "half", "min", "max", "neg", "const", "d"})
+
+MAX_DEPTH = 100
 
 
 def parse_fraction(value: Union[str, int, Fraction]) -> Fraction:
@@ -218,46 +228,13 @@ class DyadicConst:
 
 Formula = Union[Zero, One, Atomic, Dist, Half, Monus, Sup, Inf, Min, Max, Neg, DyadicConst]
 
-_CONNECTIVES = (Zero, One, Half, Monus, Min, Max, Neg, DyadicConst)
+
+def _neg(a: Formula) -> Formula:
+    return Monus(One(), a)
 
 
-def is_restricted(f: Formula) -> bool:
-    """True when the formula contains no derived connective nodes."""
-    if isinstance(f, (Min, Max, Neg, DyadicConst)):
-        return False
-    if isinstance(f, Half):
-        return is_restricted(f.body)
-    if isinstance(f, Monus):
-        return is_restricted(f.left) and is_restricted(f.right)
-    if isinstance(f, (Sup, Inf)):
-        return is_restricted(f.body)
-    return True
-
-
-def normalize_restricted(f: Formula) -> Formula:
-    """Expand derived connectives exactly; pointwise equal to the input."""
-    if isinstance(f, (Zero, One, Atomic, Dist)):
-        return f
-    if isinstance(f, Half):
-        return Half(normalize_restricted(f.body))
-    if isinstance(f, Monus):
-        return Monus(normalize_restricted(f.left), normalize_restricted(f.right))
-    if isinstance(f, Sup):
-        return Sup(f.var, normalize_restricted(f.body))
-    if isinstance(f, Inf):
-        return Inf(f.var, normalize_restricted(f.body))
-    if isinstance(f, Min):
-        a = normalize_restricted(f.left)
-        b = normalize_restricted(f.right)
-        return Monus(a, Monus(a, b))
-    if isinstance(f, Neg):
-        return Monus(One(), normalize_restricted(f.body))
-    if isinstance(f, Max):
-        # max(a, b) = 1 - min(1 - a, 1 - b), all exact in [0, 1]
-        return normalize_restricted(Neg(Min(Neg(f.left), Neg(f.right))))
-    if isinstance(f, DyadicConst):
-        return _dyadic(f.num, f.denom_log2)
-    raise TypeError(f"unknown formula node {f!r}")
+def _min(a: Formula, b: Formula) -> Formula:
+    return Monus(a, Monus(a, b))
 
 
 def _dyadic(p: int, q: int) -> Formula:
@@ -270,82 +247,102 @@ def _dyadic(p: int, q: int) -> Formula:
     return Monus(One(), _dyadic(2**q - p, q))
 
 
-def free_vars(f: Formula) -> list[str]:
-    """Free variables in first-occurrence order."""
-    out: list[str] = []
+# Each term and formula class with its printed head, its child fields in
+# print order, and for a derived connective its restricted expansion over
+# the already normalized children. "args" holds a tuple of children; Sup
+# and Inf bind `var` in `body`. A head is a format string over the node g:
+# call forms print it before their parenthesized children, Sup and Inf
+# before their body, and -. between its operands.
+_NODES: dict[type, tuple[str, tuple[str, ...], Optional[Callable[..., Formula]]]] = {
+    Var: ("{g.name}", (), None),
+    Const: ("{g.name}", (), None),
+    Apply: ("{g.func}", ("args",), None),
+    Zero: ("0", (), None),
+    One: ("1", (), None),
+    Atomic: ("{g.pred}", ("args",), None),
+    Dist: ("d", ("left", "right"), None),
+    Half: ("half", ("body",), None),
+    Monus: ("-.", ("left", "right"), None),
+    Sup: ("sup {g.var} .", ("body",), None),
+    Inf: ("inf {g.var} .", ("body",), None),
+    Min: ("min", ("left", "right"), lambda g, a, b: _min(a, b)),
+    # max(a, b) = 1 - min(1 - a, 1 - b), all exact in [0, 1]
+    Max: ("max", ("left", "right"), lambda g, a, b: _neg(_min(_neg(a), _neg(b)))),
+    Neg: ("neg", ("body",), lambda g, a: _neg(a)),
+    DyadicConst: ("const({g.num}/2^{g.denom_log2})", (), lambda g: _dyadic(g.num, g.denom_log2)),
+}
 
-    def term_walk(t: Term, bound: tuple[str, ...]) -> None:
-        if isinstance(t, Var):
-            if t.name not in bound and t.name not in out:
-                out.append(t.name)
-        elif isinstance(t, Apply):
-            for a in t.args:
-                term_walk(a, bound)
+# the call forms the parser reads by keyword; their rows give the arity
+_CALLS = {_NODES[c][0]: c for c in (Half, Neg, Min, Max, Dist)}
 
-    def walk(g: Formula, bound: tuple[str, ...]) -> None:
-        if isinstance(g, Atomic):
-            for a in g.args:
-                term_walk(a, bound)
-        elif isinstance(g, Dist):
-            term_walk(g.left, bound)
-            term_walk(g.right, bound)
-        elif isinstance(g, (Half, Neg)):
-            walk(g.body, bound)
-        elif isinstance(g, (Monus, Min, Max)):
-            walk(g.left, bound)
-            walk(g.right, bound)
-        elif isinstance(g, (Sup, Inf)):
-            walk(g.body, bound + (g.var,))
 
-    walk(f, ())
-    return out
+def _getter(fields: tuple[str, ...]) -> Callable[[Formula | Term], tuple]:
+    # attrgetter returns the "args" tuple, or a tuple of two or more fields
+    if len(fields) == 1 and fields != ("args",):
+        return lambda g, k=fields[0]: (getattr(g, k),)
+    return operator.attrgetter(*fields) if fields else lambda g: ()
+
+
+_CHILDREN = {cls: _getter(fields) for cls, (_, fields, _) in _NODES.items()}
+
+
+def children(g: Formula | Term) -> tuple:
+    """The direct subterms and subformulas of g, in print order; the
+    walkers call it before they read g's row, so unknown classes fail here."""
+    try:
+        return _CHILDREN[type(g)](g)
+    except KeyError:
+        raise TypeError(f"unknown formula node {g!r}") from None
+
+
+def is_restricted(f: Formula) -> bool:
+    """True when the formula contains no derived connective nodes."""
+    return all(map(is_restricted, children(f))) and _NODES[type(f)][2] is None
+
+
+def normalize_restricted(f: Formula) -> Formula:
+    """Expand derived connectives exactly; pointwise equal to the input."""
+    old = children(f)
+    _, fields, expand = _NODES[type(f)]
+    kids = tuple(map(normalize_restricted, old))
+    if expand is not None:
+        return expand(f, *kids)
+    if all(map(operator.is_, kids, old)):
+        return f
+    return replace(f, **dict(zip(fields, kids)))
+
+
+def free_vars(f: Formula | Term) -> list[str]:
+    """Free variables in first-occurrence order; f may be a bare term."""
+    out: dict[str, None] = {}
+
+    def walk(g: Formula | Term, bound: frozenset) -> None:
+        if isinstance(g, Var) and g.name not in bound:
+            out.setdefault(g.name)
+        if isinstance(g, (Sup, Inf)):
+            bound = bound | {g.var}
+        for c in children(g):
+            walk(c, bound)
+
+    walk(f, frozenset())
+    return list(out)
 
 
 # --------------------------------------------------------------------------
 # printer
 
 
-def term_to_text(t: Term) -> str:
-    if isinstance(t, (Var, Const)):
-        return t.name
-    return f"{t.func}({','.join(term_to_text(a) for a in t.args)})"
-
-
-def to_text(f: Formula) -> str:
-    if isinstance(f, Zero):
-        return "0"
-    if isinstance(f, One):
-        return "1"
-    if isinstance(f, Atomic):
-        return f"{f.pred}({','.join(term_to_text(a) for a in f.args)})"
-    if isinstance(f, Dist):
-        return f"d({term_to_text(f.left)},{term_to_text(f.right)})"
-    if isinstance(f, Half):
-        return f"half({to_text(f.body)})"
-    if isinstance(f, Monus):
-        return f"{_operand(f.left, left=True)} -. {_operand(f.right, left=False)}"
-    if isinstance(f, Sup):
-        return f"sup {f.var} . {to_text(f.body)}"
-    if isinstance(f, Inf):
-        return f"inf {f.var} . {to_text(f.body)}"
-    if isinstance(f, Min):
-        return f"min({to_text(f.left)},{to_text(f.right)})"
-    if isinstance(f, Max):
-        return f"max({to_text(f.left)},{to_text(f.right)})"
-    if isinstance(f, Neg):
-        return f"neg({to_text(f.body)})"
-    if isinstance(f, DyadicConst):
-        return f"const({f.num}/2^{f.denom_log2})"
-    raise TypeError(f"unknown formula node {f!r}")
-
-
-def _operand(f: Formula, left: bool) -> str:
-    text = to_text(f)
-    if isinstance(f, (Sup, Inf)):
-        return f"({text})"
-    if isinstance(f, Monus) and not left:
-        return f"({text})"
-    return text
+def to_text(g: Formula | Term) -> str:
+    """The text `parse` reads back as g; g may be a bare term."""
+    kids = children(g)
+    head = _NODES[type(g)][0].format(g=g)
+    if isinstance(g, Monus):
+        wrap = ((Sup, Inf), (Sup, Inf, Monus))  # -. associates to the left
+        left, right = (f"({to_text(c)})" if isinstance(c, w) else to_text(c) for c, w in zip(kids, wrap))
+        return f"{left} {head} {right}"
+    if isinstance(g, (Sup, Inf)):
+        return f"{head} {to_text(kids[0])}"
+    return f"{head}({','.join(map(to_text, kids))})" if kids else head
 
 
 # --------------------------------------------------------------------------
@@ -390,11 +387,26 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _nested(read: Callable) -> Callable:
+    """read, counting the formulas and terms open around it: deep input is a ParseError, not a RecursionError."""
+
+    def guarded(self: "_Parser"):
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ParseError(f"formula nested more than {MAX_DEPTH} deep", self.peek()[2])
+        out = read(self)
+        self.level -= 1
+        return out
+
+    return guarded
+
+
 class _Parser:
     def __init__(self, text: str, sig: Signature):
         self.tokens = _tokenize(text)
         self.sig = sig
         self.i = 0
+        self.level = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -410,6 +422,7 @@ class _Parser:
             raise ParseError(f"expected {what}, found {tok[1]!r}", tok[2])
         return tok
 
+    @_nested
     def formula(self) -> Formula:
         kind, value, pos = self.peek()
         if kind == "NAME" and value in ("sup", "inf"):
@@ -432,6 +445,16 @@ class _Parser:
             left = Monus(left, right)
         return left
 
+    def args(self, read: Callable[[], Formula | Term], count: Optional[int] = None) -> list:
+        """'(' read() (',' read())* ')': `count` results, or all there are."""
+        self.expect("LP", "'('")
+        out = [read()]
+        while len(out) < count if count else self.peek()[0] == "COMMA":
+            self.expect("COMMA", "','")
+            out.append(read())
+        self.expect("RP", "')'")
+        return out
+
     def atom(self) -> Formula:
         kind, value, pos = self.next()
         if kind == "INT":
@@ -448,23 +471,9 @@ class _Parser:
             raise ParseError(f"expected a formula, found {value!r}", pos)
         if value in ("sup", "inf"):
             raise ParseError("a quantified formula must be parenthesized here", pos)
-        if value == "half":
-            self.expect("LP", "'('")
-            body = self.formula()
-            self.expect("RP", "')'")
-            return Half(body)
-        if value in ("min", "max"):
-            self.expect("LP", "'('")
-            a = self.formula()
-            self.expect("COMMA", "','")
-            b = self.formula()
-            self.expect("RP", "')'")
-            return Min(a, b) if value == "min" else Max(a, b)
-        if value == "neg":
-            self.expect("LP", "'('")
-            body = self.formula()
-            self.expect("RP", "')'")
-            return Neg(body)
+        cls = _CALLS.get(value)
+        if cls is not None:
+            return cls(*self.args(self.term if cls is Dist else self.formula, len(_NODES[cls][1])))
         if value == "const":
             self.expect("LP", "'('")
             _, p_text, p_pos = self.expect("INT", "an integer numerator")
@@ -479,26 +488,15 @@ class _Parser:
             if p > 2**q:
                 raise ParseError(f"const({p}/2^{q}) lies outside [0, 1]", p_pos)
             return DyadicConst(p, q)
-        if value == "d":
-            self.expect("LP", "'('")
-            a = self.term()
-            self.expect("COMMA", "','")
-            b = self.term()
-            self.expect("RP", "')'")
-            return Dist(a, b)
         pred = self.sig.pred(value)
         if pred is None:
             raise ParseError(f"undeclared predicate {value!r}", pos)
-        self.expect("LP", "'('")
-        args = [self.term()]
-        while self.peek()[0] == "COMMA":
-            self.next()
-            args.append(self.term())
-        self.expect("RP", "')'")
+        args = self.args(self.term)
         if len(args) != pred.arity:
             raise ParseError(f"predicate {value!r} expects {pred.arity} arguments, got {len(args)}", pos)
         return Atomic(value, tuple(args))
 
+    @_nested
     def term(self) -> Term:
         kind, value, pos = self.next()
         if kind != "NAME":
@@ -507,12 +505,7 @@ class _Parser:
             raise ParseError(f"{value!r} is reserved and cannot appear in a term", pos)
         func = self.sig.func(value)
         if func is not None:
-            self.expect("LP", "'('")
-            args = [self.term()]
-            while self.peek()[0] == "COMMA":
-                self.next()
-                args.append(self.term())
-            self.expect("RP", "')'")
+            args = self.args(self.term)
             if len(args) != func.arity:
                 raise ParseError(f"function {value!r} expects {func.arity} arguments, got {len(args)}", pos)
             return Apply(value, tuple(args))
@@ -524,9 +517,18 @@ class _Parser:
 
 
 def parse(text: str, sig: Signature) -> Formula:
+    """Read a formula; malformed input, or a syntax tree more than
+    MAX_DEPTH nodes deep, raises ParseError."""
     p = _Parser(text, sig)
     f = p.formula()
     kind, value, pos = p.peek()
     if kind != "EOF":
         raise ParseError(f"trailing input {value!r}", pos)
+    # a -. chain is read in a loop, so only the tree shows its depth
+    todo = [(f, 1)]
+    while todo:
+        g, d = todo.pop()
+        if d > MAX_DEPTH:
+            raise ParseError(f"formula nested more than {MAX_DEPTH} deep", 0)
+        todo += [(c, d + 1) for c in children(g)]
     return f

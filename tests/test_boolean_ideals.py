@@ -135,7 +135,7 @@ def test_limsup_constant_and_core_shortcut():
             assert limsup_ideal(I, {g: c for g in omega}) == c
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(hs.data())
 def test_limsup_is_max_over_core_property(data):
     omega = tuple(range(data.draw(hs.integers(1, 6), label="omega size")))

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 import pytest
 
@@ -10,8 +10,8 @@ from fvlogic import reduced_products as rp
 from fvlogic import structures as st
 from fvlogic import syntax as sx
 from fvlogic.boolean_ideals import trivial_ideal
-from fvlogic.structures import MAX_UNIVERSE, FiniteStructure, Violation
-from fvlogic.syntax import FuncSym, PredSym, Signature, parse
+from fvlogic.structures import MAX_UNIVERSE, FiniteStructure, Point, Violation
+from fvlogic.syntax import Formula, FuncSym, PredSym, Signature, Term, parse
 
 SIG = Signature(
     preds=(PredSym("P", 1, Fraction(1)),),
@@ -400,3 +400,124 @@ def test_validate_modulus_boundary_matches_reference(p_a, p_b, lip, dab, ok):
     assert (got is None) == ok
     if not ok:
         assert got[0] == "lipschitz" and got[2] == (("a",), ("b",))
+
+
+# --------------------------------------------------------------------------
+# evaluate on the semantics table against the isinstance evaluator
+
+
+# evaluate and eval_term as they were before evaluate read its children
+# and connective semantics from tables, kept verbatim (names prefixed) as
+# the differential reference.
+def reference_eval_term(s: FiniteStructure, t: Term, val: Mapping[str, Point]) -> Point:
+    if isinstance(t, sx.Var):
+        try:
+            return val[t.name]
+        except KeyError:
+            raise ValueError(f"unbound variable {t.name!r}") from None
+    if isinstance(t, sx.Const):
+        return s.consts[t.name]
+    return s.funcs[t.func][tuple(reference_eval_term(s, a, val) for a in t.args)]
+
+
+def reference_evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] = None) -> Fraction:
+    """Evaluate `f` in `s` under `val`. Handles derived connectives
+    directly (exactly), so it can serve as the oracle for normalization."""
+    val = dict(val or {})
+    fv_cache: dict[int, tuple[str, ...]] = {}
+
+    def fv(g: Formula | Term) -> tuple[str, ...]:
+        # free variables in first-occurrence order, merged from the
+        # children's; Sup and Inf drop their bound variable
+        got = fv_cache.get(id(g))
+        if got is None:
+            kids = getattr(g, "args", ()) or [getattr(g, k) for k in ("left", "right", "body") if hasattr(g, k)]
+            merged = dict.fromkeys(v for c in kids for v in fv(c) if v != getattr(g, "var", None))
+            got = fv_cache[id(g)] = (g.name,) if isinstance(g, sx.Var) else tuple(merged)
+        return got
+
+    memo: dict[tuple, Fraction] = {}
+
+    def go(g: Formula, env: dict[str, Point]) -> Fraction:
+        key = (id(g), tuple((v, env[v]) for v in fv(g)))
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if isinstance(g, sx.Zero):
+            out = Fraction(0)
+        elif isinstance(g, sx.One):
+            out = Fraction(1)
+        elif isinstance(g, sx.DyadicConst):
+            out = Fraction(g.num, 2**g.denom_log2)
+        elif isinstance(g, sx.Atomic):
+            out = s.preds[g.pred][tuple(reference_eval_term(s, a, env) for a in g.args)]
+        elif isinstance(g, sx.Dist):
+            out = s.dist[(reference_eval_term(s, g.left, env), reference_eval_term(s, g.right, env))]
+        elif isinstance(g, sx.Half):
+            out = go(g.body, env) / 2
+        elif isinstance(g, sx.Monus):
+            x = go(g.left, env)
+            y = go(g.right, env)
+            out = x - y if x >= y else Fraction(0)
+        elif isinstance(g, sx.Min):
+            out = min(go(g.left, env), go(g.right, env))
+        elif isinstance(g, sx.Max):
+            out = max(go(g.left, env), go(g.right, env))
+        elif isinstance(g, sx.Neg):
+            out = 1 - go(g.body, env)
+        elif isinstance(g, (sx.Sup, sx.Inf)):
+            agg = max if isinstance(g, sx.Sup) else min
+            saved = env.get(g.var)
+            vals = []
+            for u in s.universe:
+                env[g.var] = u
+                vals.append(go(g.body, env))
+            if saved is None:
+                env.pop(g.var, None)
+            else:
+                env[g.var] = saved
+            out = agg(vals)
+        else:
+            raise TypeError(f"unknown formula node {g!r}")
+        memo[key] = out
+        return out
+
+    missing = [v for v in fv(f) if v not in val]
+    if missing:
+        raise ValueError(f"unbound variable {missing[0]!r}")
+    return go(f, val)
+
+
+def evaluation_cases(sig: Signature) -> list[tuple[Formula, Optional[str]]]:
+    """Each depth-3 battery sentence; min, max, neg and a dyadic constant
+    over neighbouring sentences; and the body of each quantified sentence
+    with its variable free, paired with that variable (None for the
+    sentences)."""
+    sentences = hc.battery(sig, 3).sentences
+    out = [(f, None) for f in sentences]
+    for i, (a, b) in enumerate(zip(sentences, sentences[1:])):
+        out += [(sx.Min(a, b), None), (sx.Max(a, b), None), (sx.Neg(a), None), (sx.Max(a, sx.DyadicConst(i % 9, 3)), None)]
+    out += [(f.body, f.var) for f in sentences if isinstance(f, (sx.Sup, sx.Inf))]
+    return out
+
+
+def assert_evaluate_matches_reference(s: FiniteStructure, cases: list[tuple[Formula, Optional[str]]]) -> None:
+    for f, var in cases:
+        for env in [{}] if var is None else [{var: u} for u in s.universe]:
+            assert st.evaluate(s, f, env) == reference_evaluate(s, f, env)
+
+
+@pytest.mark.parametrize("sig", [hc.BATTERY_SIG, hc.UNARY_SIG], ids=["binary-g", "unary-g"])
+def test_evaluate_matches_reference_on_random_structures(sig):
+    cases = evaluation_cases(sig)
+    for size in range(1, MAX_UNIVERSE + 1):
+        assert_evaluate_matches_reference(st.random_structure(sig, size, seed=size), cases)
+
+
+def test_evaluate_matches_reference_on_induced_structures():
+    caps = hc.load_caps()
+    rng = random.Random(11)
+    cases = evaluation_cases(hc.BATTERY_SIG)
+    for _ in range(8):
+        fam = hc.random_family(hc.BATTERY_SIG, rng, caps)
+        assert_evaluate_matches_reference(rp.reduced_product(fam).structure, cases)

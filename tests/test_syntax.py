@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as hs
 
+from fvlogic import fv_translator as fvt
+from fvlogic import harness_cli as hc
 from fvlogic import structures as st
 from fvlogic import syntax as sx
 from fvlogic.syntax import (
@@ -10,8 +14,10 @@ from fvlogic.syntax import (
     Const,
     Dist,
     DyadicConst,
+    Formula,
     Half,
     Inf,
+    Max,
     Min,
     Monus,
     Neg,
@@ -21,6 +27,7 @@ from fvlogic.syntax import (
     FuncSym,
     Signature,
     Sup,
+    Term,
     Var,
     Zero,
     parse,
@@ -185,3 +192,284 @@ def test_signature_json_round_trip():
     doc = sx.signature_to_json(SIG)
     assert doc["preds"][0] == {"name": "P", "arity": 1, "lipschitz": "1/1"}
     assert sx.signature_from_json(doc) == SIG
+
+
+# --------------------------------------------------------------------------
+# the table walkers against the isinstance walkers they replaced
+
+
+# normalize_restricted, free_vars and to_text with its helpers as they
+# were before the walkers moved onto the node table, kept verbatim (names
+# prefixed) as the differential reference.
+def reference_normalize_restricted(f: Formula) -> Formula:
+    """Expand derived connectives exactly; pointwise equal to the input."""
+    if isinstance(f, (Zero, One, Atomic, Dist)):
+        return f
+    if isinstance(f, Half):
+        return Half(reference_normalize_restricted(f.body))
+    if isinstance(f, Monus):
+        return Monus(reference_normalize_restricted(f.left), reference_normalize_restricted(f.right))
+    if isinstance(f, Sup):
+        return Sup(f.var, reference_normalize_restricted(f.body))
+    if isinstance(f, Inf):
+        return Inf(f.var, reference_normalize_restricted(f.body))
+    if isinstance(f, Min):
+        a = reference_normalize_restricted(f.left)
+        b = reference_normalize_restricted(f.right)
+        return Monus(a, Monus(a, b))
+    if isinstance(f, Neg):
+        return Monus(One(), reference_normalize_restricted(f.body))
+    if isinstance(f, Max):
+        # max(a, b) = 1 - min(1 - a, 1 - b), all exact in [0, 1]
+        return reference_normalize_restricted(Neg(Min(Neg(f.left), Neg(f.right))))
+    if isinstance(f, DyadicConst):
+        return reference_dyadic(f.num, f.denom_log2)
+    raise TypeError(f"unknown formula node {f!r}")
+
+
+def reference_dyadic(p: int, q: int) -> Formula:
+    if p == 0:
+        return Zero()
+    if p == 2**q:
+        return One()
+    if 2 * p <= 2**q:
+        return Half(reference_dyadic(p, q - 1))
+    return Monus(One(), reference_dyadic(2**q - p, q))
+
+
+def reference_free_vars(f: Formula) -> list[str]:
+    """Free variables in first-occurrence order."""
+    out: list[str] = []
+
+    def term_walk(t: Term, bound: tuple[str, ...]) -> None:
+        if isinstance(t, Var):
+            if t.name not in bound and t.name not in out:
+                out.append(t.name)
+        elif isinstance(t, Apply):
+            for a in t.args:
+                term_walk(a, bound)
+
+    def walk(g: Formula, bound: tuple[str, ...]) -> None:
+        if isinstance(g, Atomic):
+            for a in g.args:
+                term_walk(a, bound)
+        elif isinstance(g, Dist):
+            term_walk(g.left, bound)
+            term_walk(g.right, bound)
+        elif isinstance(g, (Half, Neg)):
+            walk(g.body, bound)
+        elif isinstance(g, (Monus, Min, Max)):
+            walk(g.left, bound)
+            walk(g.right, bound)
+        elif isinstance(g, (Sup, Inf)):
+            walk(g.body, bound + (g.var,))
+
+    walk(f, ())
+    return out
+
+
+def reference_term_to_text(t: Term) -> str:
+    if isinstance(t, (Var, Const)):
+        return t.name
+    return f"{t.func}({','.join(reference_term_to_text(a) for a in t.args)})"
+
+
+def reference_to_text(f: Formula) -> str:
+    if isinstance(f, Zero):
+        return "0"
+    if isinstance(f, One):
+        return "1"
+    if isinstance(f, Atomic):
+        return f"{f.pred}({','.join(reference_term_to_text(a) for a in f.args)})"
+    if isinstance(f, Dist):
+        return f"d({reference_term_to_text(f.left)},{reference_term_to_text(f.right)})"
+    if isinstance(f, Half):
+        return f"half({reference_to_text(f.body)})"
+    if isinstance(f, Monus):
+        return f"{reference_operand(f.left, left=True)} -. {reference_operand(f.right, left=False)}"
+    if isinstance(f, Sup):
+        return f"sup {f.var} . {reference_to_text(f.body)}"
+    if isinstance(f, Inf):
+        return f"inf {f.var} . {reference_to_text(f.body)}"
+    if isinstance(f, Min):
+        return f"min({reference_to_text(f.left)},{reference_to_text(f.right)})"
+    if isinstance(f, Max):
+        return f"max({reference_to_text(f.left)},{reference_to_text(f.right)})"
+    if isinstance(f, Neg):
+        return f"neg({reference_to_text(f.body)})"
+    if isinstance(f, DyadicConst):
+        return f"const({f.num}/2^{f.denom_log2})"
+    raise TypeError(f"unknown formula node {f!r}")
+
+
+def reference_operand(f: Formula, left: bool) -> str:
+    text = reference_to_text(f)
+    if isinstance(f, (Sup, Inf)):
+        return f"({text})"
+    if isinstance(f, Monus) and not left:
+        return f"({text})"
+    return text
+
+
+def battery_formulas() -> list[Formula]:
+    """Every depth-3 battery sentence, then every psi of every sequence
+    the size gates admit at n = 0..2."""
+    caps = hc.load_caps()
+    sentences = hc.battery(hc.BATTERY_SIG, 3, caps).sentences
+    out = list(sentences)
+    for n in range(caps.max_n + 1):
+        for sent in sentences:
+            m, g = fvt.translation_cost(sent, n)
+            if m <= caps.max_psis and g <= caps.max_guard_vars:
+                out += fvt.translate(sx.normalize_restricted(sent), n).psis
+    return out
+
+
+def assert_walkers_match_reference(f: Formula) -> None:
+    assert to_text(f) == reference_to_text(f)
+    assert sx.normalize_restricted(f) == reference_normalize_restricted(f)
+    assert sx.free_vars(f) == reference_free_vars(f)
+
+
+def test_walkers_match_reference_on_battery_formulas():
+    formulas = battery_formulas()
+    assert len(formulas) > 1000
+    for f in formulas:
+        assert_walkers_match_reference(f)
+
+
+def test_free_vars_of_bare_terms():
+    assert sx.free_vars(Apply("f", (Var("y"),))) == ["y"]
+    assert sx.free_vars(Const("c")) == []
+    assert to_text(Apply("f", (Const("c"),))) == "f(c)"
+
+
+# --------------------------------------------------------------------------
+# the depth limit
+
+
+def chain(kind: str, k: int) -> str:
+    """k nested `kind` connectives over P(c) (P(x) under quantifiers); the
+    binary ones nest in their right operand, -. is a chain of k + 1."""
+    if kind in ("half", "neg"):
+        return f"{kind}(" * k + "P(c)" + ")" * k
+    if kind in ("min", "max"):
+        return f"{kind}(P(c)," * k + "P(c)" + ")" * k
+    if kind in ("sup", "inf"):
+        return f"{kind} x . " * k + "P(x)"
+    return " -. ".join(["P(c)"] * (k + 1))
+
+
+KINDS = ("half", "neg", "min", "max", "sup", "inf", "-.")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_chain_at_the_depth_limit_runs_through_every_walker(kind):
+    # the atom and its term are the last two levels, so one more
+    # connective is one too many
+    f = parse(chain(kind, sx.MAX_DEPTH - 2), SIG)
+    assert parse(to_text(f), SIG) == f
+    nf = sx.normalize_restricted(f)
+    assert sx.is_restricted(nf)
+    s = st.random_structure(SIG, 3, seed=1)
+    assert st.evaluate(s, f) == st.evaluate(s, nf)
+    if kind not in ("sup", "inf"):
+        # nested quantifiers make translation_cost a tower of powers, so
+        # only a short quantifier chain has a cost that can be computed
+        assert fvt.translation_cost(f, 0)[0] >= 1
+    with pytest.raises(ParseError, match="nested more than"):
+        parse(chain(kind, sx.MAX_DEPTH - 1), SIG)
+
+
+def test_deep_terms_and_parentheses_are_rejected():
+    with pytest.raises(ParseError, match="nested more than"):
+        parse("P(" + "f(" * sx.MAX_DEPTH + "c" + ")" * (sx.MAX_DEPTH + 1), SIG)
+    with pytest.raises(ParseError, match="nested more than"):
+        parse("(" * 10**4 + "P(c)" + ")" * 10**4, SIG)
+    # parentheses add no depth to the tree
+    assert parse("(" * 50 + "P(c)" + ")" * 50, SIG) == parse("P(c)", SIG)
+    with pytest.raises(ParseError, match="nested more than"):
+        parse("(" + chain("-.", sx.MAX_DEPTH - 2) + ") -. P(c)", SIG)
+
+
+# --------------------------------------------------------------------------
+# properties
+
+
+def terms() -> hs.SearchStrategy[Term]:
+    leaves = hs.sampled_from([Var("x"), Var("y"), Const("c")])
+    return hs.one_of(leaves, leaves.map(lambda t: Apply("f", (t,))))
+
+
+def formulas(depth: int) -> hs.SearchStrategy[Formula]:
+    """Formulas over SIG with at most `depth` connectives above any atom;
+    all 12 formula classes occur."""
+    t = terms()
+    atoms = hs.one_of(
+        hs.sampled_from([Zero(), One()]),
+        hs.integers(0, 3).flatmap(lambda q: hs.builds(DyadicConst, hs.integers(0, 2**q), hs.just(q))),
+        hs.builds(lambda a: Atomic("P", (a,)), t),
+        hs.builds(lambda a, b: Atomic("R", (a, b)), t, t),
+        hs.builds(Dist, t, t),
+    )
+    if depth == 0:
+        return atoms
+    sub = formulas(depth - 1)
+    var = hs.sampled_from(["x", "y"])
+    return hs.one_of(
+        atoms,
+        hs.builds(Half, sub),
+        hs.builds(Neg, sub),
+        hs.builds(Monus, sub, sub),
+        hs.builds(Min, sub, sub),
+        hs.builds(Max, sub, sub),
+        hs.builds(Sup, var, sub),
+        hs.builds(Inf, var, sub),
+    )
+
+
+def test_formula_strategy_reaches_every_class():
+    seen = set()
+
+    @given(formulas(2))
+    def collect(f):
+        todo = [f]
+        while todo:
+            g = todo.pop()
+            seen.add(type(g))
+            todo += sx.children(g)
+
+    collect()
+    assert seen >= {Zero, One, Atomic, Dist, Half, Monus, Sup, Inf, Min, Max, Neg, DyadicConst}
+
+
+PROPERTY_STRUCTURE = st.random_structure(SIG, 4, seed=0)
+PROPERTY_ENV = {"x": PROPERTY_STRUCTURE.universe[1], "y": PROPERTY_STRUCTURE.universe[2]}
+
+
+@given(formulas(4))
+def test_print_parse_round_trip_property(f):
+    assert to_text(f) == reference_to_text(f)
+    assert parse(to_text(f), SIG) == f
+
+
+@given(formulas(4))
+def test_normalize_restricted_property(f):
+    nf = sx.normalize_restricted(f)
+    assert nf == reference_normalize_restricted(f)
+    assert sx.is_restricted(nf)
+    assert st.evaluate(PROPERTY_STRUCTURE, nf, PROPERTY_ENV) == st.evaluate(PROPERTY_STRUCTURE, f, PROPERTY_ENV)
+
+
+@given(formulas(4))
+def test_free_vars_property(f):
+    assert sx.free_vars(f) == reference_free_vars(f)
+
+
+# three levels keep the tower (2^n + 2)^m of nested quantifiers small
+# enough to compute before the size check discards it
+@given(formulas(3), hs.integers(0, 1))
+def test_translation_cost_counts_psis_property(f, n):
+    m, _ = fvt.translation_cost(f, n)
+    assume(m <= 64)
+    assert m == len(fvt.translate(sx.normalize_restricted(f), n).psis)
