@@ -2,11 +2,12 @@
 limsup along an ideal, Fubini products, and first-order satisfaction.
 
 On a finite ground set every ideal is the power set of S* (the union of
-its members), so quotient classes are canonically represented by their
-intersection with the core Omega minus S*. Boolean formulas follow the
-y[j][i] / z[k][i] variable convention used by the translator; the
-GuardedExists node is the translator's bounded existential block, with
-a monotonicity-based search fast path and an equivalent raw expansion.
+its members), so an ideal is stored as S* alone and quotient classes are
+canonically represented by their intersection with the core Omega minus
+S*. Boolean formulas follow the y[j][i] / z[k][i] variable convention
+used by the translator; the GuardedExists node is the translator's
+bounded existential block, with a monotonicity-based search fast path
+and an equivalent raw expansion.
 """
 from __future__ import annotations
 
@@ -26,48 +27,24 @@ MAX_OMEGA = 6
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """A proper ideal on a finite labeled ground set."""
+    """A proper ideal on a finite labeled ground set, stored as its S*:
+    the ideal is P(sstar), the sets that avoid the core."""
 
     omega: tuple[Label, ...]
-    members: frozenset[frozenset]
+    sstar: frozenset
 
     def __post_init__(self) -> None:
         om = set(self.omega)
         if not (1 <= len(self.omega) <= MAX_OMEGA) or len(om) != len(self.omega):
             raise ValueError(f"ground set must have 1..{MAX_OMEGA} distinct labels")
-        if frozenset() not in self.members:
-            raise ValueError("ideal must contain the empty set")
-        for X in self.members:
-            if not X <= om:
-                raise ValueError(f"member {set(X)} is not a subset of the ground set")
-        if om in self.members:
-            raise ValueError("improper ideal: contains the whole ground set")
-        for X in self.members:
-            for Y in self.members:
-                if X | Y not in self.members:
-                    raise ValueError("ideal not closed under union")
-            for Y in _subsets(tuple(X)):
-                if Y not in self.members:
-                    raise ValueError("ideal not downward closed")
-
-    @property
-    def sstar(self) -> frozenset:
-        """Union of all members; the ideal equals P(sstar)."""
-        out: frozenset = frozenset()
-        for X in self.members:
-            out |= X
-        return out
+        if not self.sstar <= om:
+            raise ValueError(f"S* {set(self.sstar)} is not a subset of the ground set")
+        if self.sstar == om:
+            raise ValueError("improper ideal: S* is the whole ground set")
 
     @property
     def core(self) -> tuple[Label, ...]:
-        s = self.sstar
-        return tuple(g for g in self.omega if g not in s)
-
-
-def _subsets(items: tuple) -> Iterable[frozenset]:
-    for r in range(len(items) + 1):
-        for combo in itertools.combinations(items, r):
-            yield frozenset(combo)
+        return tuple(g for g in self.omega if g not in self.sstar)
 
 
 def close_ideal(omega: Sequence[Label], generators: Iterable[Iterable[Label]]) -> IdealSpec:
@@ -81,8 +58,7 @@ def close_ideal(omega: Sequence[Label], generators: Iterable[Iterable[Label]]) -
         sstar |= g
     if sstar == set(omega):
         raise ValueError("improper ideal: generators cover the ground set")
-    members = frozenset(_subsets(tuple(g for g in omega if g in sstar)))
-    return IdealSpec(omega, members)
+    return IdealSpec(omega, frozenset(sstar))
 
 
 def trivial_ideal(omega: Sequence[Label]) -> IdealSpec:
@@ -99,14 +75,9 @@ def principal_max_ideal(omega: Sequence[Label], gamma0: Label) -> IdealSpec:
 
 
 def limsup_ideal(ideal: IdealSpec, values: Mapping[Label, Fraction]) -> Fraction:
-    """min over S in the ideal of max over gamma not in S; exact."""
-    best: Optional[Fraction] = None
-    for S in ideal.members:
-        m = max(values[g] for g in ideal.omega if g not in S)
-        if best is None or m < best:
-            best = m
-    assert best is not None
-    return best
+    """min over S in the ideal of max over gamma not in S; exact. The
+    least such max is taken at S = S*, so it is the max over the core."""
+    return max(values[g] for g in ideal.core)
 
 
 def ideal_to_json(ideal: IdealSpec) -> dict:
@@ -674,17 +645,7 @@ def is_monotone(
 
 def fubini(ideal1: IdealSpec, ideal2: IdealSpec) -> IdealSpec:
     """Ideal on omega1 x omega2: a set is small iff the rows with a
-    J-positive section form an I-small set (first ideal governs rows)."""
+    J-positive section form an I-small set (first ideal governs rows).
+    Its S* is (S1* x omega2) | (omega1 x S2*)."""
     grid = tuple(itertools.product(ideal1.omega, ideal2.omega))
-    if len(grid) > MAX_OMEGA:
-        raise ValueError(f"product ground set exceeds {MAX_OMEGA} points")
-    members = []
-    for mask in range(1 << len(grid)):
-        A = frozenset(grid[i] for i in range(len(grid)) if mask >> i & 1)
-        bad_rows = frozenset(
-            i for i in ideal1.omega
-            if frozenset(j for j in ideal2.omega if (i, j) in A) not in ideal2.members
-        )
-        if bad_rows in ideal1.members:
-            members.append(A)
-    return IdealSpec(grid, frozenset(members))
+    return IdealSpec(grid, frozenset((i, j) for i, j in grid if i in ideal1.sstar or j in ideal2.sstar))

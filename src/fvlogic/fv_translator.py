@@ -282,6 +282,12 @@ def _translate_sup(f: Sup, n: int, fv: tuple[str, ...], child: DeterminingSequen
 # the structural induction shared by translate and translation_cost
 
 
+# Costs saturate at COST_BOUND, far above every cap: _cost returns
+# min(exact, COST_BOUND) for each count. A sup over a child count of 64 or
+# more already costs (2^n + 2)^64 - 1 > COST_BOUND, so that exponent is
+# clipped at 64 and nested quantifiers never build a tower of powers.
+COST_BOUND = 2**64
+
 # Each restricted connective's translation rule and its cost rule, the
 # pair (number of subformulas, widest guarded block) that the translation
 # has. Both rules get f, the precision and the results for f's connective
@@ -290,7 +296,7 @@ _RULES: dict[type, tuple[Callable[..., DeterminingSequence], Callable[..., tuple
     **dict.fromkeys((Atomic, Dist, Zero, One), (_translate_leaf, lambda f, n: (1, 0))),
     Half: (_translate_half, lambda f, n, c: c),
     Monus: (_translate_monus, lambda f, n, a, b: (a[0] + b[0], max(a[1], b[1]))),
-    Sup: (_translate_sup, lambda f, n, c: ((2**n + 2) ** c[0] - 1, max(c[1], c[0] * 2**n))),
+    Sup: (_translate_sup, lambda f, n, c: ((2**n + 2) ** min(c[0], 64) - 1, max(c[1], c[0] * 2**n))),
 }
 
 
@@ -309,13 +315,14 @@ def _step(f: Formula, n: int, recurse: Callable) -> tuple[Formula, tuple[Callabl
 
 def translation_cost(f: Formula, n: int) -> tuple[int, int]:
     """(number of subformulas, widest guarded block) of translate(f, n)
-    without building it; the first component matches len(psis) exactly."""
+    without building it, each capped at COST_BOUND; below the bound the
+    first component matches len(psis) exactly."""
     return _cost(normalize_restricted(f), n)
 
 
 def _cost(f: Formula, n: int) -> tuple[int, int]:
     f, rules, kids = _step(f, n, _cost)
-    return rules[1](f, n, *kids)
+    return tuple(min(x, COST_BOUND) for x in rules[1](f, n, *kids))
 
 
 # --------------------------------------------------------------------------

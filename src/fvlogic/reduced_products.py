@@ -5,8 +5,9 @@ at gamma; two points are identified when the limsup (along the ideal)
 of their coordinatewise distances is zero. On a finite ground set that
 happens exactly when the points agree on the core, the complement of
 the largest ideal member, so classes are computed by keying on the
-core coordinates and every limsup-based quantity is still evaluated
-through limsup_ideal for an independent cross-check.
+core coordinates. Every limsup-based quantity (distances, predicate
+values, the distance from each point to its class representative) is
+read through limsup_ideal, the max over the core.
 """
 
 from __future__ import annotations

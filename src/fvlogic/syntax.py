@@ -20,10 +20,11 @@ does this).
 
 `parse` rejects, with a ParseError, a formula whose syntax tree is more
 than MAX_DEPTH = 100 nodes deep, terms included; a monus chain of k
-operands is at least k deep. The walkers recurse along the tree, and at
-the limit a chain of any one connective stays inside Python's default
-recursion limit in each of them, translation_cost on its normal form
-included.
+operands is at least k deep. It also rejects const(p/2^q) for q above
+MAX_DEPTH / 2, since that constant's normal form is up to 2q deep. The
+walkers recurse along the tree, and at the limit a chain of any one
+connective stays inside Python's default recursion limit in each of
+them, translation_cost on its normal form included.
 """
 from __future__ import annotations
 
@@ -482,9 +483,11 @@ class _Parser:
             if base != "2":
                 raise ParseError("dyadic constants must have denominator 2^q", base_pos)
             self.expect("CARET", "'^'")
-            _, q_text, _ = self.expect("INT", "an integer exponent")
+            _, q_text, q_pos = self.expect("INT", "an integer exponent")
             self.expect("RP", "')'")
             p, q = int(p_text), int(q_text)
+            if 2 * q > MAX_DEPTH:  # the normal form is up to 2q deep; checked before 2**q
+                raise ParseError(f"const(p/2^{q}) normalizes to a formula nested more than {MAX_DEPTH} deep", q_pos)
             if p > 2**q:
                 raise ParseError(f"const({p}/2^{q}) lies outside [0, 1]", p_pos)
             return DyadicConst(p, q)

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +56,12 @@ def fs(*items):
     return frozenset(items)
 
 
+def members(I):
+    """Every member of I: the subsets of I.sstar."""
+    small = tuple(g for g in I.omega if g in I.sstar)
+    return fs(*(fs(*c) for r in range(len(small) + 1) for c in itertools.combinations(small, r)))
+
+
 def all_ideals(omega):
     """Every proper ideal on a finite set is the power set of a proper
     subset, so enumerating those subsets enumerates the ideals."""
@@ -73,12 +79,13 @@ def all_ideals(omega):
 
 def test_close_ideal_singleton():
     I = close_ideal((1, 2, 3), [{1}])
-    assert I.members == fs(fs(), fs(1))
+    assert I == IdealSpec((1, 2, 3), fs(1))
+    assert members(I) == fs(fs(), fs(1))
 
 
 def test_close_ideal_two_element_generator():
     I = close_ideal((1, 2, 3), [{1, 2}])
-    assert I.members == fs(fs(), fs(1), fs(2), fs(1, 2))
+    assert members(I) == fs(fs(), fs(1), fs(2), fs(1, 2))
 
 
 def test_close_ideal_improper():
@@ -89,28 +96,35 @@ def test_close_ideal_improper():
 
 
 def test_ideal_spec_validation():
-    with pytest.raises(ValueError):
-        IdealSpec((1, 2), fs(fs(1)))  # no empty set
-    with pytest.raises(ValueError):
-        IdealSpec((1, 2, 3), fs(fs(), fs(1, 2)))  # not downward closed
-    with pytest.raises(ValueError):
-        IdealSpec((1, 2, 3), fs(fs(), fs(1), fs(2)))  # not union closed
-    with pytest.raises(ValueError):
-        IdealSpec((1, 2), fs(fs(), fs(1), fs(2), fs(1, 2)))  # improper
-    with pytest.raises(ValueError):
-        IdealSpec(tuple(range(7)), fs(fs()))  # ground set too large
-    with pytest.raises(ValueError):
-        IdealSpec((1, 1), fs(fs()))  # repeated label
+    with pytest.raises(ValueError, match="improper"):
+        IdealSpec((1, 2), fs(1, 2))
+    with pytest.raises(ValueError, match="ground set must have"):
+        IdealSpec(tuple(range(7)), fs())  # ground set too large
+    with pytest.raises(ValueError, match="ground set must have"):
+        IdealSpec((1, 1), fs())  # repeated label
+    with pytest.raises(ValueError, match="not a subset"):
+        IdealSpec((1, 2), fs(3))  # S* outside the ground set
 
 
 def test_trivial_and_principal_max():
     T = trivial_ideal(("a", "b"))
-    assert T.members == fs(fs())
+    assert members(T) == fs(fs())
     P = principal_max_ideal((1, 2, 3), 3)
     assert P.sstar == fs(1, 2)
     assert P.core == (3,)
     with pytest.raises(ValueError):
         principal_max_ideal((1, 2), 9)
+
+
+def reference_limsup_ideal(ideal: IdealSpec, values: Mapping[object, Fraction]) -> Fraction:
+    """min over S in the ideal of max over gamma not in S; exact."""
+    best: Optional[Fraction] = None
+    for S in members(ideal):
+        m = max(values[g] for g in ideal.omega if g not in S)
+        if best is None or m < best:
+            best = m
+    assert best is not None
+    return best
 
 
 def test_limsup_examples():
@@ -130,7 +144,7 @@ def test_limsup_constant_and_core_shortcut():
         for I in all_ideals(omega):
             r = {g: Fraction(rng.randrange(17), 16) for g in omega}
             expect = max(r[g] for g in I.core)
-            assert limsup_ideal(I, r) == expect
+            assert limsup_ideal(I, r) == expect == reference_limsup_ideal(I, r)
             c = Fraction(5, 8)
             assert limsup_ideal(I, {g: c for g in omega}) == c
 
@@ -142,7 +156,7 @@ def test_limsup_is_max_over_core_property(data):
     sstar = data.draw(hs.sets(hs.sampled_from(omega), max_size=len(omega) - 1), label="S*")
     values = {g: data.draw(hs.fractions(0, 1, max_denominator=24), label=f"r({g})") for g in omega}
     ideal = close_ideal(omega, [sstar] if sstar else [])
-    assert limsup_ideal(ideal, values) == max(values[g] for g in ideal.core)
+    assert limsup_ideal(ideal, values) == max(values[g] for g in ideal.core) == reference_limsup_ideal(ideal, values)
 
 
 def test_ideal_json_round_trip():
@@ -602,12 +616,67 @@ def test_is_monotone_sampled_route():
 # Fubini products
 
 
+def reference_fubini(ideal1: IdealSpec, ideal2: IdealSpec) -> frozenset:
+    """Ideal on omega1 x omega2: a set is small iff the rows with a
+    J-positive section form an I-small set (first ideal governs rows).
+    Returns the members, since IdealSpec is built from S* alone."""
+    grid = tuple(itertools.product(ideal1.omega, ideal2.omega))
+    if len(grid) > bi.MAX_OMEGA:
+        raise ValueError(f"product ground set exceeds {bi.MAX_OMEGA} points")
+    members_ = []
+    for mask in range(1 << len(grid)):
+        A = frozenset(grid[i] for i in range(len(grid)) if mask >> i & 1)
+        bad_rows = frozenset(
+            i for i in ideal1.omega
+            if frozenset(j for j in ideal2.omega if (i, j) in A) not in members(ideal2)
+        )
+        if bad_rows in members(ideal1):
+            members_.append(A)
+    return frozenset(members_)
+
+
+def fubini_pairs():
+    """Every pair of ideals whose product grid has at most MAX_OMEGA points."""
+    for k1 in range(1, bi.MAX_OMEGA + 1):
+        for k2 in range(1, bi.MAX_OMEGA // k1 + 1):
+            for I in all_ideals(range(k1)):
+                for J in all_ideals("abcdef"[:k2]):
+                    yield I, J
+
+
+def test_fubini_matches_reference_on_every_fitting_pair():
+    count = 0
+    for I, J in fubini_pairs():
+        F = fubini(I, J)
+        assert F.omega == tuple(itertools.product(I.omega, J.omega))
+        assert members(F) == reference_fubini(I, J)
+        count += 1
+    assert count == 290
+
+
+@settings(max_examples=200)
+@given(hs.data())
+def test_fubini_property(data):
+    k1 = data.draw(hs.integers(1, bi.MAX_OMEGA), label="|omega1|")
+    k2 = data.draw(hs.integers(1, bi.MAX_OMEGA // k1), label="|omega2|")
+    omega1, omega2 = tuple(range(k1)), tuple("abcdef"[:k2])
+    s1 = data.draw(hs.sets(hs.sampled_from(omega1), max_size=k1 - 1), label="S1*")
+    s2 = data.draw(hs.sets(hs.sampled_from(omega2), max_size=k2 - 1), label="S2*")
+    I, J = IdealSpec(omega1, fs(*s1)), IdealSpec(omega2, fs(*s2))
+    F = fubini(I, J)
+    A = data.draw(hs.sets(hs.sampled_from(F.omega)), label="A")
+    # A is small iff the rows whose section is J-positive form an I-small set
+    rows = {i for i in omega1 if not {j for j in omega2 if (i, j) in A} <= J.sstar}
+    assert (A <= F.sstar) == (rows <= I.sstar)
+    assert members(F) == reference_fubini(I, J)
+
+
 def test_fubini_frozen_example():
     I = close_ideal((1, 2), [{1}])
     J = trivial_ideal(("a", "b"))
     F = fubini(I, J)
     assert F.omega == ((1, "a"), (1, "b"), (2, "a"), (2, "b"))
-    assert F.members == fs(
+    assert members(F) == fs(
         fs(),
         fs((1, "a")),
         fs((1, "b")),
@@ -623,14 +692,14 @@ def test_fubini_matches_sectionwise_oracle():
             F = fubini(I, J)
             for k in range(16):
                 A = fs(*(grid[b] for b in range(4) if k >> b & 1))
-                rows = fs(*(i for i in omega1 if fs(*(j for j in omega2 if (i, j) in A)) not in J.members))
-                assert (A in F.members) == (rows in I.members)
-            assert fs(*grid) not in F.members  # properness
+                rows = fs(*(i for i in omega1 if fs(*(j for j in omega2 if (i, j) in A)) not in members(J)))
+                assert (A in members(F)) == (rows in members(I))
+            assert fs(*grid) not in members(F)  # properness
 
 
 def test_fubini_degenerate_and_overflow():
     F = fubini(trivial_ideal((1,)), trivial_ideal(("a",)))
-    assert F.members == fs(fs())
+    assert members(F) == fs(fs())
     with pytest.raises(ValueError):
         fubini(trivial_ideal((1, 2, 3)), trivial_ideal(("a", "b", "c")))
 

@@ -390,13 +390,25 @@ def test_cli_translate_parse_error(files):
     assert hc.cli(["translate", "--formula", "sup x .", "--n", "0", "--sig", str(tmp / "sig.json")]) == 2
 
 
-@pytest.mark.parametrize("formula", ["half(" * 10**4 + "P(c)" + ")" * 10**4, " -. ".join(["P(c)"] * 10**4)], ids=["nested", "monus-chain"])
+@pytest.mark.parametrize(
+    "formula",
+    ["half(" * 10**4 + "P(c)" + ")" * 10**4, " -. ".join(["P(c)"] * 10**4), "const(1/2^2000)", f"const(1/2^{10**9})"],
+    ids=["nested", "monus-chain", "dyadic-2000", "dyadic-1e9"],
+)
 def test_cli_rejects_deep_formulas_in_one_line(files, capsys, formula):
     tmp = files[0]
     assert hc.cli(["eval", "--formula", formula, "--structure", str(tmp / "s.json")]) == 2
     assert hc.cli(["translate", "--formula", formula, "--n", "0", "--sig", str(tmp / "sig.json")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and all("nested more than" in line for line in err)
+
+
+def test_cli_translate_refuses_five_nested_quantifiers_in_one_line(files, capsys):
+    tmp = files[0]
+    formula = "sup x . sup x . sup x . sup x . sup x . P(x)"
+    assert hc.cli(["translate", "--formula", formula, "--n", "0", "--sig", str(tmp / "sig.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "above the caps" in err[0]
 
 
 def test_cli_eval_rejects_scalar_dist(files, tmp_path, capsys):

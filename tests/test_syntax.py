@@ -373,12 +373,45 @@ def test_chain_at_the_depth_limit_runs_through_every_walker(kind):
     assert sx.is_restricted(nf)
     s = st.random_structure(SIG, 3, seed=1)
     assert st.evaluate(s, f) == st.evaluate(s, nf)
-    if kind not in ("sup", "inf"):
-        # nested quantifiers make translation_cost a tower of powers, so
-        # only a short quantifier chain has a cost that can be computed
-        assert fvt.translation_cost(f, 0)[0] >= 1
+    for n in range(3):
+        assert 1 <= fvt.translation_cost(f, n)[0] <= fvt.COST_BOUND
     with pytest.raises(ParseError, match="nested more than"):
         parse(chain(kind, sx.MAX_DEPTH - 1), SIG)
+
+
+def tree_depth(f) -> int:
+    return 1 + max((tree_depth(c) for c in sx.children(f)), default=0)
+
+
+def test_dyadic_constant_at_the_depth_limit():
+    # const(p/2^q) normalizes to a chain up to 2q deep; this p reaches it
+    q = sx.MAX_DEPTH // 2
+    p = (2 ** (q + 1) + 1) // 3
+    f = parse(f"const({p}/2^{q})", SIG)
+    nf = sx.normalize_restricted(f)
+    assert tree_depth(nf) == sx.MAX_DEPTH
+    s = st.random_structure(SIG, 3, seed=1)
+    assert st.evaluate(s, f) == st.evaluate(s, nf) == Fraction(p, 2**q)
+    assert fvt.translation_cost(f, 0)[0] >= 1
+    # checked before 2**q is formed, so a huge exponent fails at once
+    for text in (f"const(1/2^{q + 1})", "const(1/2^2000)", f"const(1/2^{10**9})"):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse(text, SIG)
+
+
+def test_translation_cost_is_exact_below_the_bound_and_saturates_at_it():
+    B = fvt.COST_BOUND
+    for n in range(3):
+        m, g = 1, 0  # exact cost of P(x); m is None once it is far past B
+        for k in range(1, 8):
+            g = None if m is None else max(g, m << n)
+            m = None if m is None or m > 10**4 else (2**n + 2) ** m - 1
+            expect = tuple(B if x is None else min(x, B) for x in (m, g))
+            assert fvt.translation_cost(parse(chain("sup", k), SIG), n) == expect
+    # -. adds the counts of its operands, and saturates too
+    five = chain("sup", 5)
+    assert fvt.translation_cost(parse(f"({five}) -. ({five})", SIG), 0) == (B, B)
+    assert fvt.translation_cost(parse(chain("inf", sx.MAX_DEPTH - 2), SIG), 0) == (B, B)
 
 
 def test_deep_terms_and_parentheses_are_rejected():
