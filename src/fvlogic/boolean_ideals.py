@@ -602,14 +602,13 @@ def is_monotone(
     B: QuotientBA,
     seed: int = 0,
     exhaustive_vars: int = 6,
-    samples: int = 1000,
 ) -> bool:
     """True iff satisfaction is preserved under pointwise class increase.
 
     Exhaustive over all assignments of the occurring variables when
     there are at most `exhaustive_vars` of them (covering relations step
     one atom at a time, which suffices in a finite Boolean algebra);
-    otherwise `samples` seeded random comparable pairs. f is compiled once
+    otherwise 1,000 seeded random comparable pairs. f is compiled once
     and all its evaluations share one session of guarded-body memos."""
     names = free_bvars(f)
     if not names:
@@ -631,7 +630,7 @@ def is_monotone(
             for idx in range(len(truth))
         )
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(1000):
         lo = [rng.randrange(prog.one + 1) for _ in names]
         hi = [x | sum(1 << i for i in range(k) if rng.random() < 0.5) for x in lo]
         if sat(lo) and not sat(hi):

@@ -36,6 +36,7 @@ from .reduced_products import (
     family_from_json,
     fubini_iso,
     principal_ultraproduct_iso,
+    product_cap,
     reduced_product,
     reduced_product_to_json,
 )
@@ -44,6 +45,7 @@ from .structures import (
     FiniteStructure,
     evaluate,
     from_json as structure_from_json,
+    lipschitz_ratio,
     random_structure,
     validate,
 )
@@ -100,7 +102,6 @@ class ResourceCaps:
     max_omega: int
     max_structure: int
     max_n: int
-    max_product_points: int
     max_psis: int
     max_guard_vars: int
 
@@ -227,7 +228,7 @@ def random_family(
     max_omega: Optional[int] = None,
 ) -> Family:
     """Seeded family whose induced reduced product respects both the
-    point cap and the structure-size cap."""
+    point cap (`product_cap()`) and the structure-size cap."""
     ideal = random_ideal(rng, max_omega if max_omega is not None else caps.max_omega)
     sizes = {g: rng.randint(1, caps.max_structure) for g in ideal.omega}
 
@@ -237,7 +238,8 @@ def random_family(
     def points() -> int:
         return math.prod(sizes.values())
 
-    while core_classes() > MAX_UNIVERSE or points() > caps.max_product_points:
+    cap = product_cap()
+    while core_classes() > MAX_UNIVERSE or points() > cap:
         biggest = max(sizes, key=lambda g: (sizes[g], g))
         sizes[biggest] -= 1
     structs = {g: random_structure(sig, sizes[g], rng.randrange(2**30)) for g in ideal.omega}
@@ -417,15 +419,10 @@ def _relabel(s: FiniteStructure, perm: Sequence[int], tag: str) -> FiniteStructu
     return FiniteStructure(s.sig, universe, dist, preds, funcs, consts)
 
 
-def suite_preservation(
-    seed: int,
-    cases: int = 100,
-    caps: Optional[ResourceCaps] = None,
-    level_set_n: int = 1,
-) -> SuiteReport:
+def suite_preservation(seed: int, cases: int = 100, caps: Optional[ResourceCaps] = None) -> SuiteReport:
     """Coordinatewise-isomorphic families give reduced products with
     exactly equal sentence values, and the level sets read off by the
-    compiler coincide as subsets of the index set."""
+    compiler at precision n = 1 coincide as subsets of the index set."""
     caps = caps or load_caps()
     rng = random.Random(seed)
     started = time.time()
@@ -462,10 +459,10 @@ def suite_preservation(
                 vc = evaluate(fam.structures[gamma0], sent)
                 if va != vc:
                     failures.append(Failure(case, f"ultraproduct value {va} differs from coordinate value {vc}"))
-            m, g = fvt.translation_cost(sent, level_set_n)
+            m, g = fvt.translation_cost(sent, 1)
             if m > caps.max_psis or g > caps.max_guard_vars:
                 continue
-            ds = fvt.translate(normalize_restricted(sent), level_set_n)
+            ds = fvt.translate(normalize_restricted(sent), 1)
             if fvt.level_sets(ds, fam, {}) != fvt.level_sets(ds, famB, {}):
                 failures.append(Failure(case, "level sets differ between isomorphic copies"))
     return _finish("preservation", seed, cases * len(bat.sentences), failures, [], [], started)
@@ -683,21 +680,12 @@ def _infer_signature(docs: Sequence[dict]) -> Signature:
     )
     structs = [structure_from_json(doc, fat) for doc in docs]
 
-    def ratio(sym, is_pred: bool) -> Fraction:
-        best = Fraction(1)
-        for s in structs:
-            table = (s.preds if is_pred else s.funcs)[sym.name]
-            for ta in itertools.product(s.universe, repeat=sym.arity):
-                for tb in itertools.product(s.universe, repeat=sym.arity):
-                    rho = max((s.dist[(a, b)] for a, b in zip(ta, tb)), default=Fraction(0))
-                    if rho > 0:
-                        gap = abs(table[ta] - table[tb]) if is_pred else s.dist[(table[ta], table[tb])]
-                        best = max(best, gap / rho)
-        return best
+    def modulus(sym) -> Fraction:
+        return max(Fraction(1), *(lipschitz_ratio(s, sym) for s in structs))
 
     return Signature(
-        preds=tuple(PredSym(p.name, p.arity, ratio(p, True)) for p in fat.preds),
-        funcs=tuple(FuncSym(f.name, f.arity, ratio(f, False)) for f in fat.funcs),
+        preds=tuple(PredSym(p.name, p.arity, modulus(p)) for p in fat.preds),
+        funcs=tuple(FuncSym(f.name, f.arity, modulus(f)) for f in fat.funcs),
         consts=fat.consts,
     )
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence
 
 from .boolean_ideals import IdealSpec, fubini, ideal_from_json, ideal_to_json, limsup_ideal
-from .structures import MAX_UNIVERSE, FiniteStructure, Point, evaluate, from_json as structure_from_json, to_json as structure_to_json, validate
+from .structures import MAX_UNIVERSE, FiniteStructure, Point, evaluate, from_json as structure_from_json, map_failures, to_json as structure_to_json, validate
 from .syntax import Atomic, Dist, Formula, Signature, free_vars
 
 MAX_PRODUCT_POINTS = 4096
@@ -86,12 +86,12 @@ def _class_labels(reps: Sequence[tuple]) -> tuple[str, ...]:
     return tuple(f"{j}#{i}" for i, j in enumerate(joined))
 
 
-def reduced_product(fam: Family, max_points: Optional[int] = None) -> ReducedProduct:
+def reduced_product(fam: Family) -> ReducedProduct:
     """Enumerate all product points, partition them, and build the
     induced structure; limsup interpretations are exact rationals."""
     ideal = fam.ideal
     omega = ideal.omega
-    cap = product_cap() if max_points is None else max_points
+    cap = product_cap()
     total = math.prod(len(fam.structures[g].universe) for g in omega)
     if total > cap:
         raise ValueError(f"product would have {total} points, cap is {cap}")
@@ -231,31 +231,8 @@ def principal_ultraproduct_iso(fam: Family) -> list[str]:
     gamma0 = ideal.core[0]
     pos = ideal.omega.index(gamma0)
     rp = reduced_product(fam)
-    A = fam.structures[gamma0]
-    failures: list[str] = []
-    if len(rp.reps) != len(A.universe):
-        failures.append(f"{len(rp.reps)} classes vs {len(A.universe)} points")
-        return failures
     rho = {rp.labels[i]: rep[pos] for i, rep in enumerate(rp.reps)}
-    if set(rho.values()) != set(A.universe):
-        failures.append("coordinate map is not a bijection")
-        return failures
-    for i, x in enumerate(rp.labels):
-        for y in rp.labels:
-            if rp.structure.d(x, y) != A.d(rho[x], rho[y]):
-                failures.append(f"distance mismatch at ({x}, {y})")
-    for p in fam.sig.preds:
-        for combo in itertools.product(rp.labels, repeat=p.arity):
-            if rp.structure.preds[p.name][combo] != A.preds[p.name][tuple(rho[c] for c in combo)]:
-                failures.append(f"predicate {p.name} mismatch at {combo}")
-    for f in fam.sig.funcs:
-        for combo in itertools.product(rp.labels, repeat=f.arity):
-            if rho[rp.structure.funcs[f.name][combo]] != A.funcs[f.name][tuple(rho[c] for c in combo)]:
-                failures.append(f"function {f.name} mismatch at {combo}")
-    for name in fam.sig.consts:
-        if rho[rp.structure.consts[name]] != A.consts[name]:
-            failures.append(f"constant {name} mismatch")
-    return failures
+    return map_failures(rp.structure, fam.structures[gamma0], rho)
 
 
 @dataclass(frozen=True)
@@ -292,29 +269,8 @@ def fubini_iso(A: FiniteStructure, inner: IdealSpec, outer: IdealSpec) -> Fubini
         return project(rp_outer, tuple(rows))
 
     mapping = {single.labels[i]: rho_of(rep) for i, rep in enumerate(single.reps)}
-    failures: list[str] = []
-    if len(set(mapping.values())) != len(mapping):
-        failures.append("map is not injective on classes")
-    if set(mapping.values()) != set(rp_outer.labels):
-        failures.append("map is not surjective onto the iterated classes")
-    if not failures:
-        S, T = single.structure, rp_outer.structure
-        for x in single.labels:
-            for y in single.labels:
-                if S.d(x, y) != T.d(mapping[x], mapping[y]):
-                    failures.append(f"distance mismatch at ({x}, {y})")
-        for p in A.sig.preds:
-            for combo in itertools.product(single.labels, repeat=p.arity):
-                if S.preds[p.name][combo] != T.preds[p.name][tuple(mapping[c] for c in combo)]:
-                    failures.append(f"predicate {p.name} mismatch at {combo}")
-        for f in A.sig.funcs:
-            for combo in itertools.product(single.labels, repeat=f.arity):
-                if mapping[S.funcs[f.name][combo]] != T.funcs[f.name][tuple(mapping[c] for c in combo)]:
-                    failures.append(f"function {f.name} mismatch at {combo}")
-        for name in A.sig.consts:
-            if mapping[S.consts[name]] != T.consts[name]:
-                failures.append(f"constant {name} mismatch")
-    return FubiniReport(len(single.reps), len(rp_outer.reps), mapping, tuple(failures))
+    failures = tuple(map_failures(single.structure, rp_outer.structure, mapping))
+    return FubiniReport(len(single.reps), len(rp_outer.reps), mapping, failures)
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterator, Mapping, Optional, Sequence
 
 from . import syntax as sx
 from .syntax import Formula, FuncSym, PredSym, Signature, Term, format_fraction, parse_fraction
@@ -21,6 +21,7 @@ from .syntax import Formula, FuncSym, PredSym, Signature, Term, format_fraction,
 Point = Hashable
 
 MAX_UNIVERSE = 16
+_GRID = 16  # random_structure samples distances and predicate values in (1/_GRID)Z
 
 
 @dataclass(frozen=True)
@@ -67,33 +68,69 @@ def _int_dist(U: tuple, dist: Mapping[tuple[Point, Point], Fraction]) -> tuple[i
     return dd, [flat[i : i + len(U)] for i in range(0, len(flat), len(U))]
 
 
-def _lipschitz_break(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list) -> Optional[tuple[tuple, tuple]]:
-    """First pair (ta, tb) of position tuples, ta before tb in product
-    order, that breaks `sym`'s modulus on the distance matrix D over
-    denominator dd, or None. `values` holds a predicate's values or a
-    function's image positions in the same order. The condition is
-    symmetric and never fails on (t, t), so this scan of unordered pairs
-    finds the first witness of a scan over all ordered pairs."""
-    lip = sym.lipschitz
+def _rows(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list, lip: Fraction) -> Iterator[tuple[list, list]]:
+    """For each position tuple ta of `sym`'s arity, in product order, two
+    integer rows over the tuples tb after it: the gaps |P(ta) - P(tb)|
+    (d(f(ta), f(tb)) for a function) and the max-metric distances rho,
+    on the distance matrix D over denominator dd. `values` holds a
+    predicate's values or a function's image positions in the same
+    order. Both rows are scaled so that gap > rho exactly when the true
+    gap exceeds lip times the true rho, and gap / rho is their ratio
+    over lip."""
     if isinstance(sym, PredSym):
-        # |P(ta) - P(tb)| > lip * rho, scaled by dp * dd * lip.denominator
+        # scaled by dp * dd * lip.denominator
         dp, vals = _on_lcm(values)
         vals = [x * dd * lip.denominator for x in vals]
         k, gaps = lip.numerator * dp, lambda i: [abs(vals[i] - y) for y in vals[i + 1 :]]
     else:
-        # d(f(ta), f(tb)) > lip * rho, scaled by dd * lip.denominator
+        # scaled by dd * lip.denominator
         rows = [[x * lip.denominator for x in row] for row in D]
         k, gaps = lip.numerator, lambda i: [rows[values[i]][y] for y in values[i + 1 :]]
     Dk = [[k * x for x in row] for row in D]
-    tups = list(itertools.product(range(len(D)), repeat=sym.arity))
-    for i, ta in enumerate(tups):
+    for i, ta in enumerate(itertools.product(range(len(D)), repeat=sym.arity)):
         rho = Dk[ta[0]]
         for x in ta[1:]:
             rho = [r if r > y else y for r in rho for y in Dk[x]]
-        hit = next(itertools.compress(range(i + 1, len(tups)), map(operator.gt, gaps(i), rho[i + 1 :])), None)
+        yield gaps(i), rho[i + 1 :]
+
+
+def _lipschitz_break(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list) -> Optional[tuple[tuple, tuple]]:
+    """First pair (ta, tb) of position tuples, ta before tb in product
+    order, that breaks `sym`'s modulus, or None; arguments as for
+    `_rows`. The condition is symmetric and never fails on (t, t), so
+    this scan of unordered pairs finds the first witness of a scan over
+    all ordered pairs."""
+    tups = list(itertools.product(range(len(D)), repeat=sym.arity))
+    for i, (gaps, rho) in enumerate(_rows(D, dd, sym, values, sym.lipschitz)):
+        hit = next(itertools.compress(range(i + 1, len(tups)), map(operator.gt, gaps, rho)), None)
         if hit is not None:
-            return ta, tups[hit]
+            return tups[i], tups[hit]
     return None
+
+
+def _ratio(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list) -> Fraction:
+    """The largest gap / rho over pairs of argument tuples with rho > 0,
+    or 0 when there is none; arguments as for `_rows`."""
+    best = Fraction(0)
+    for gaps, rho in _rows(D, dd, sym, values, Fraction(1)):
+        for g, r in zip(gaps, rho):
+            if r > 0 and g * best.denominator > best.numerator * r:
+                best = Fraction(g, r)
+    return best
+
+
+def lipschitz_ratio(s: FiniteStructure, sym: PredSym | FuncSym) -> Fraction:
+    """The exact smallest Lipschitz modulus `sym`'s table in `s` obeys:
+    the largest |P(ta) - P(tb)| / rho, or d(f(ta), f(tb)) / rho, over
+    pairs of argument tuples at max-metric distance rho > 0 (0 when
+    there is none). Pairs are read unordered, so it is exact on a
+    symmetric metric."""
+    pos = {a: i for i, a in enumerate(s.universe)}
+    dd, D = _int_dist(s.universe, s.dist)
+    tups = itertools.product(s.universe, repeat=sym.arity)
+    if isinstance(sym, PredSym):
+        return _ratio(D, dd, sym, [s.preds[sym.name][t] for t in tups])
+    return _ratio(D, dd, sym, [pos[s.funcs[sym.name][t]] for t in tups])
 
 
 def validate(s: FiniteStructure) -> Optional[Violation]:
@@ -158,6 +195,26 @@ def validate(s: FiniteStructure) -> Optional[Violation]:
             witness = tuple(tuple(U[x] for x in t) for t in hit)
             return Violation("lipschitz", f"{kind} {sym.name!r} breaks its modulus", witness)
     return None
+
+
+def map_failures(S: FiniteStructure, T: FiniteStructure, rho: Mapping[Point, Point]) -> list[str]:
+    """How `rho` fails to be an isomorphism from S onto T: a bijection
+    between the universes along which the distances, predicates,
+    functions and constants of S's signature agree exactly. The empty
+    list means it is one."""
+    if set(rho) != set(S.universe) or len(set(rho.values())) != len(rho) or set(rho.values()) != set(T.universe):
+        return ["map is not a bijection between the universes"]
+    U = S.universe
+    failures = [f"distance mismatch at ({x}, {y})" for x in U for y in U if S.d(x, y) != T.d(rho[x], rho[y])]
+    for p in S.sig.preds:
+        for tup in itertools.product(U, repeat=p.arity):
+            if S.preds[p.name][tup] != T.preds[p.name][tuple(map(rho.__getitem__, tup))]:
+                failures.append(f"predicate {p.name} mismatch at {tup}")
+    for f in S.sig.funcs:
+        for tup in itertools.product(U, repeat=f.arity):
+            if rho[S.funcs[f.name][tup]] != T.funcs[f.name][tuple(map(rho.__getitem__, tup))]:
+                failures.append(f"function {f.name} mismatch at {tup}")
+    return failures + [f"constant {c} mismatch" for c in S.sig.consts if rho[S.consts[c]] != T.consts[c]]
 
 
 # --------------------------------------------------------------------------
@@ -239,15 +296,15 @@ def evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] 
 # random generation
 
 
-def random_structure(sig: Signature, size: int, seed: int, grid: int = 16) -> FiniteStructure:
+def random_structure(sig: Signature, size: int, seed: int) -> FiniteStructure:
     """Deterministically generate a valid structure of the given size.
 
-    The metric is sampled on a 1/grid lattice and repaired by the
+    The metric is sampled on a 1/16 lattice and repaired by the
     shortest-path closure; surviving off-diagonal zeros are bumped to
-    1/grid. Predicate tables are blended toward their mean (binary
-    search on the blend factor) until the Lipschitz check holds;
-    function tables are resampled a bounded number of times, then fall
-    back to a projection or a constant map.
+    1/16. A predicate table steeper than its modulus is blended toward
+    its mean by the largest factor in (1/64)Z that the measured ratio
+    allows; function tables are resampled a bounded number of times,
+    then fall back to a projection or a constant map.
     """
     if not (1 <= size <= MAX_UNIVERSE):
         raise ValueError(f"size {size} outside 1..{MAX_UNIVERSE}")
@@ -257,37 +314,25 @@ def random_structure(sig: Signature, size: int, seed: int, grid: int = 16) -> Fi
     for i, a in enumerate(U):
         dist[(a, a)] = Fraction(0)
         for b in U[:i]:
-            v = Fraction(rng.randint(0, grid), grid)
+            v = Fraction(rng.randint(0, _GRID), _GRID)
             dist[(a, b)] = dist[(b, a)] = v
     for c, a, b in itertools.product(U, repeat=3):  # shortest-path closure
         dist[(a, b)] = min(dist[(a, b)], dist[(a, c)] + dist[(c, b)])
     for a, b in itertools.product(U, repeat=2):
         if a != b and dist[(a, b)] == 0:
-            dist[(a, b)] = Fraction(1, grid)
+            dist[(a, b)] = Fraction(1, _GRID)
     dd, D = _int_dist(U, dist)
 
     preds: dict[str, dict[tuple, Fraction]] = {}
     for p in sig.preds:
-        raw = {tup: Fraction(rng.randint(0, grid), grid) for tup in itertools.product(U, repeat=p.arity)}
-        mean = sum(raw.values(), Fraction(0)) / len(raw)
-
-        def blend(lam: Fraction) -> dict[tuple, Fraction]:
-            return {tup: mean + lam * (v - mean) for tup, v in raw.items()}
-
-        def passes(lam: Fraction) -> bool:
-            return _lipschitz_break(D, dd, p, list(blend(lam).values())) is None
-
-        if passes(Fraction(1)):
-            preds[p.name] = raw
-        else:
-            lo, hi = Fraction(0), Fraction(1)
-            for _ in range(6):
-                mid = (lo + hi) / 2
-                if passes(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            preds[p.name] = blend(lo)
+        raw = {tup: Fraction(rng.randint(0, _GRID), _GRID) for tup in itertools.product(U, repeat=p.arity)}
+        ratio = _ratio(D, dd, p, list(raw.values()))
+        if ratio > p.lipschitz:
+            # blending by lam scales every gap by lam: keep the largest lam in (1/64)Z that fits
+            lam = Fraction(64 * p.lipschitz // ratio, 64)
+            mean = sum(raw.values(), Fraction(0)) / len(raw)
+            raw = {tup: mean + lam * (v - mean) for tup, v in raw.items()}
+        preds[p.name] = raw
 
     funcs: dict[str, dict[tuple, Point]] = {}
     for f in sig.funcs:

@@ -351,6 +351,51 @@ def test_guarded_matches_raw_expansion(g):
             assert prog.run(session) == want, (B.core, env)
 
 
+def _bterms(leaves):
+    return hs.recursive(
+        hs.sampled_from(leaves),
+        lambda sub: hs.one_of(hs.builds(BMeet, sub, sub), hs.builds(BJoin, sub, sub), hs.builds(BCompl, sub)),
+        max_leaves=3,
+    )
+
+
+@hs.composite
+def guarded_blocks(draw):
+    """A GuardedExists block over 1-3 z variables and the free y1, y2. Each
+    bound meets one or two z variables below a term over y1 and y2; the
+    body is an atom, a negated atom or a junction of two atoms over the z
+    and y variables, so it may or may not be monotone in z."""
+    zs = tuple(f"z{i}" for i in range(draw(hs.integers(1, 3))))
+    ys = [BVar("y1"), BVar("y2"), BZero(), BOne()]
+    bound = hs.tuples(hs.lists(hs.sampled_from(zs), min_size=1, max_size=2, unique=True).map(tuple), _bterms(ys))
+    t = _bterms([BVar(z) for z in zs] + ys)
+    atom = hs.one_of(hs.builds(NotZero, t), hs.builds(TermLe, t, t), hs.builds(TermEq, t, t))
+    body = hs.one_of(
+        atom,
+        hs.builds(BNot, atom),
+        hs.builds(lambda a, b: BAnd((a, b)), atom, atom),
+        hs.builds(lambda a, b: BOr((a, b)), atom, atom),
+    )
+    return GuardedExists(zs, tuple(draw(hs.lists(bound, max_size=3))), draw(body))
+
+
+@settings(max_examples=150)
+@given(guarded_blocks())
+def test_guarded_property_matches_raw_expansion(g):
+    names = free_bvars(g)
+    raw = g.expand_raw()
+    for B in (quotient(trivial_ideal((1,))), quotient(trivial_ideal((1, 2)))):
+        prog = bi._Program(g, len(B.core))
+        session = prog.session(dense=True)
+        for combo in itertools.product(B.elements, repeat=len(names)):
+            env = dict(zip(names, combo))
+            want = reference_ba_eval(B, raw, env)
+            assert ba_eval(B, g, env) == want, (B.core, env)
+            for s, X in zip(prog.free, combo):
+                session[s] = B.masks[X]
+            assert prog.run(session) == want, (B.core, env)
+
+
 def test_proves_monotone_reads_polarity():
     y, z = BVar("y"), BVar("z")
     assert proves_monotone(NotZero(BMeet(y, BJoin(z, BZero()))))

@@ -102,7 +102,7 @@ def first_point(fam):
 
 def test_atomic_sequence():
     ds = translate(P_x, 1)
-    assert ds.n == 1 and ds.m == 1 and ds.levels == 3
+    assert ds.n == 1 and ds.m == 1 and len(ds.sigmas) == 3
     assert ds.freevars == ("x",)
     assert ds.psis == (P_x,)
     assert ds.sigmas == (nz(0, 0), nz(0, 1), nz(0, 2))
@@ -161,7 +161,7 @@ def test_half_inherits_lows_and_shifts_top():
 
 def test_half_top_slacks_grow_with_the_shift():
     ds = translate(Half(P_x), 2)
-    assert ds.m == 1 and ds.levels == 5
+    assert ds.m == 1 and len(ds.sigmas) == 5
     assert ds.sigmas == tuple(nz(0, i) for i in range(5))
     assert ds.t == (0, 0, 0, 1, 2)
     assert ds.tm == (0, 0, 0, 0, 1)
@@ -484,7 +484,7 @@ def test_mutation_in_guarded_sigma_detected():
     f = Sup("x", P_c)
     ds = translate(normalize_restricted(f), 1)
     hits = 0
-    for ell in range(ds.levels):
+    for ell in range(len(ds.sigmas)):
         for k in range(count_atoms(ds.sigmas[ell])):
             bad = mutate_ds(ds, ell, k)
             if not certify_sequence(bad, f, fam, {}).ok:

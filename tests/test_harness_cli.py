@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -5,19 +6,23 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
 from fvlogic import harness_cli as hc
 from fvlogic.boolean_ideals import close_ideal, trivial_ideal
-from fvlogic.reduced_products import Family, family_to_json, reduced_product
-from fvlogic.structures import evaluate, from_json, random_structure, to_json, validate
+from fvlogic.reduced_products import MAX_PRODUCT_POINTS, Family, family_to_json, reduced_product
+from fvlogic.structures import evaluate, from_json, from_json as structure_from_json, random_structure, to_json, validate
 from fvlogic.syntax import (
     Atomic,
     Const,
+    FuncSym,
     Half,
     Monus,
     One,
+    PredSym,
+    Signature,
     Sup,
     Var,
     format_fraction,
@@ -44,7 +49,7 @@ def test_default_caps_frozen():
     assert CAPS.max_omega == 4
     assert CAPS.max_structure == 4
     assert CAPS.max_n == 2
-    assert CAPS.max_product_points == 4096
+    assert MAX_PRODUCT_POINTS == 4096
 
 
 def test_caps_from_custom_file(tmp_path):
@@ -55,7 +60,6 @@ def test_caps_from_custom_file(tmp_path):
         "max_omega": 2,
         "max_structure": 2,
         "max_n": 1,
-        "max_product_points": 64,
         "max_psis": 10,
         "max_guard_vars": 2,
     }
@@ -161,7 +165,7 @@ def test_random_family_respects_caps():
         assert all(1 <= v <= CAPS.max_structure for v in sizes.values())
         assert len(fam.ideal.omega) <= CAPS.max_omega
         assert math.prod(sizes[g] for g in fam.ideal.core) <= 16
-        assert math.prod(sizes.values()) <= CAPS.max_product_points
+        assert math.prod(sizes.values()) <= MAX_PRODUCT_POINTS
         # every coordinate structure is valid, so the product is buildable
         reduced_product(fam)
 
@@ -326,6 +330,80 @@ def test_infer_signature_tight_enough_for_steep_tables():
     assert validate(from_json(doc, sig)) is None
 
 
+# The signature inference that compared every ordered pair of argument
+# tuples in Fraction arithmetic, kept verbatim as the differential reference.
+def reference_infer_signature(docs: Sequence[dict]) -> Signature:
+    """Reconstruct a signature from structure documents alone: arities
+    from tensor nesting depth, moduli as the exact largest observed
+    difference ratio across all the documents."""
+
+    def tensor_depth(node) -> int:
+        d = 0
+        while isinstance(node, list):
+            if not node:
+                raise ValueError("a predicate or function tensor must not be an empty list")
+            node = node[0]
+            d += 1
+        return d
+
+    tables = ("preds", "funcs", "consts")
+    if not all(isinstance(d, dict) and all(isinstance(d.get(k, {}), dict) for k in tables) for d in docs):
+        raise ValueError("a structure document must be an object whose 'preds', 'funcs' and 'consts' are objects")
+    first = docs[0]
+    fat = Signature(
+        preds=tuple(
+            PredSym(name, tensor_depth(t), Fraction(10**9)) for name, t in sorted(first.get("preds", {}).items())
+        ),
+        funcs=tuple(
+            FuncSym(name, tensor_depth(t), Fraction(10**9)) for name, t in sorted(first.get("funcs", {}).items())
+        ),
+        consts=tuple(sorted(first.get("consts", {}))),
+    )
+    structs = [structure_from_json(doc, fat) for doc in docs]
+
+    def ratio(sym, is_pred: bool) -> Fraction:
+        best = Fraction(1)
+        for s in structs:
+            table = (s.preds if is_pred else s.funcs)[sym.name]
+            for ta in itertools.product(s.universe, repeat=sym.arity):
+                for tb in itertools.product(s.universe, repeat=sym.arity):
+                    rho = max((s.dist[(a, b)] for a, b in zip(ta, tb)), default=Fraction(0))
+                    if rho > 0:
+                        gap = abs(table[ta] - table[tb]) if is_pred else s.dist[(table[ta], table[tb])]
+                        best = max(best, gap / rho)
+        return best
+
+    return Signature(
+        preds=tuple(PredSym(p.name, p.arity, ratio(p, True)) for p in fat.preds),
+        funcs=tuple(FuncSym(f.name, f.arity, ratio(f, False)) for f in fat.funcs),
+        consts=fat.consts,
+    )
+
+
+INFER_SIGS = [
+    hc.BATTERY_SIG,
+    hc.UNARY_SIG,
+    Signature(preds=(PredSym("P", 1, Fraction(3, 2)),), funcs=(FuncSym("g", 2, Fraction(3, 2)),), consts=("c",)),
+    Signature(preds=(PredSym("P", 2, Fraction(1, 8)), PredSym("Q", 1, Fraction(5, 3))), funcs=(FuncSym("g", 1, Fraction(1, 8)),)),
+]
+
+
+def test_infer_signature_matches_reference_on_documents():
+    for sig in INFER_SIGS:
+        for size, seed in itertools.product(range(1, 7), range(5)):
+            docs = [to_json(random_structure(sig, size, seed))]
+            assert hc._infer_signature(docs) == reference_infer_signature(docs), (sig, size, seed)
+
+
+def test_infer_signature_matches_reference_on_families():
+    rng = random.Random(3)
+    for sig in INFER_SIGS:
+        for _ in range(6):
+            fam = hc.random_family(sig, rng, CAPS)
+            docs = list(family_to_json(fam)["structures"].values())
+            assert hc._infer_signature(docs) == reference_infer_signature(docs), sig
+
+
 # --------------------------------------------------------------------------
 # command line
 
@@ -435,18 +513,17 @@ def test_cli_eval_rejects_free_variables(files):
     assert hc.cli(["eval", "--formula", "P(x)", "--structure", str(tmp / "s.json")]) == 2
 
 
-def test_cli_eval_rejects_invalid_structure(files, tmp_path):
-    # asymmetric distance table: inference succeeds, validation must not
-    doc = {
-        "universe": ["a", "b"],
-        "dist": [["0", "1/4"], ["1/2", "0"]],
-        "preds": {"P": ["0", "1/8"]},
-        "funcs": {},
-        "consts": {},
-    }
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    assert hc.cli(["eval", "--formula", "0", "--structure", str(bad)]) == 2
+def test_cli_eval_rejects_invalid_structure(files, tmp_path, capsys):
+    # asymmetric distance tables: inference succeeds, validation must not.
+    # In the second the steep entry lies only below the diagonal, so an
+    # inference reading unordered pairs sees a flatter P than one reading
+    # ordered pairs; the metric message is the same.
+    for dist, p_b in (([["0", "1/4"], ["1/2", "0"]], "1/8"), ([["0", "1"], ["1/8", "0"]], "1")):
+        doc = {"universe": ["a", "b"], "dist": dist, "preds": {"P": ["0", p_b]}, "funcs": {}, "consts": {}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert hc.cli(["eval", "--formula", "0", "--structure", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == ["invalid structure: metric: asymmetric distance"]
 
 
 def test_cli_rp_family(files, capsys):
@@ -520,6 +597,13 @@ def test_cli_rp_product_cap_env(files, monkeypatch):
     assert hc.cli(["rp", "--family", str(tmp / "fam.json")]) == 2
     monkeypatch.setenv("FV_MAX_PRODUCT_POINTS", "100")
     assert hc.cli(["rp", "--family", str(tmp / "fam.json")]) == 0
+
+
+def test_cli_check_draws_families_under_the_product_cap(monkeypatch, capsys):
+    # random families shrink to the cap that reduced_product enforces
+    monkeypatch.setenv("FV_MAX_PRODUCT_POINTS", "10")
+    assert hc.cli(["check", "--suite", "atomic", "--seed", "0"]) == 0
+    assert "[PASS] atomic" in capsys.readouterr().out
 
 
 def test_cli_check_writes_reproducible_report(files, tmp_path, capsys):

@@ -107,8 +107,6 @@ def test_family_validation():
 
 def test_point_cap_and_env_override(monkeypatch):
     fam = rp.Family(trivial_ideal((1, 2)), {1: two_pt(), 2: two_pt()})
-    with pytest.raises(ValueError):
-        rp.reduced_product(fam, max_points=3)
     monkeypatch.setenv("FV_MAX_PRODUCT_POINTS", "3")
     with pytest.raises(ValueError):
         rp.reduced_product(fam)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -400,6 +401,126 @@ def test_validate_modulus_boundary_matches_reference(p_a, p_b, lip, dab, ok):
     assert (got is None) == ok
     if not ok:
         assert got[0] == "lipschitz" and got[2] == (("a",), ("b",))
+
+
+# --------------------------------------------------------------------------
+# comparing two structures along a map
+
+
+def test_map_failures_names_each_changed_entry():
+    s = st.random_structure(ODD_SIG, 4, seed=3)
+    perm = [2, 0, 3, 1]
+    t = hc._relabel(s, perm, tag="q")
+    rho = {a: f"q{perm[i]}" for i, a in enumerate(s.universe)}
+    assert st.map_failures(s, t, rho) == []
+    a, b = s.universe[:2]
+    x, y = rho[a], rho[b]
+    image, const = t.funcs["g"][(x, y)], t.consts["c"]
+    cases = [
+        ({"dist": {**t.dist, (x, y): t.dist[(x, y)] / 2}}, f"distance mismatch at ({a}, {b})"),
+        ({"preds": {"P": {**t.preds["P"], (x,): t.preds["P"][(x,)] + 1}}}, f"predicate P mismatch at {(a,)}"),
+        ({"funcs": {"g": {**t.funcs["g"], (x, y): next(u for u in t.universe if u != image)}}}, f"function g mismatch at {(a, b)}"),
+        ({"consts": {"c": next(u for u in t.universe if u != const)}}, "constant c mismatch"),
+    ]
+    for change, message in cases:
+        assert st.map_failures(s, dataclasses.replace(t, **change), rho) == [message]
+    assert st.map_failures(s, t, {**rho, b: x}) == ["map is not a bijection between the universes"]
+    assert st.map_failures(s, t, {a: x}) == ["map is not a bijection between the universes"]
+
+
+# --------------------------------------------------------------------------
+# the measured blend factor against the bisection it replaced
+
+
+_int_dist, _lipschitz_break = st._int_dist, st._lipschitz_break
+
+
+# The random_structure that searched for each predicate's blend factor by
+# bisection, kept verbatim as the differential reference.
+def reference_random_structure(sig: Signature, size: int, seed: int, grid: int = 16) -> FiniteStructure:
+    """Deterministically generate a valid structure of the given size.
+
+    The metric is sampled on a 1/grid lattice and repaired by the
+    shortest-path closure; surviving off-diagonal zeros are bumped to
+    1/grid. Predicate tables are blended toward their mean (binary
+    search on the blend factor) until the Lipschitz check holds;
+    function tables are resampled a bounded number of times, then fall
+    back to a projection or a constant map.
+    """
+    if not (1 <= size <= MAX_UNIVERSE):
+        raise ValueError(f"size {size} outside 1..{MAX_UNIVERSE}")
+    rng = random.Random(seed)
+    U = tuple(f"p{i}" for i in range(size))
+    dist: dict[tuple[Point, Point], Fraction] = {}
+    for i, a in enumerate(U):
+        dist[(a, a)] = Fraction(0)
+        for b in U[:i]:
+            v = Fraction(rng.randint(0, grid), grid)
+            dist[(a, b)] = dist[(b, a)] = v
+    for c, a, b in itertools.product(U, repeat=3):  # shortest-path closure
+        dist[(a, b)] = min(dist[(a, b)], dist[(a, c)] + dist[(c, b)])
+    for a, b in itertools.product(U, repeat=2):
+        if a != b and dist[(a, b)] == 0:
+            dist[(a, b)] = Fraction(1, grid)
+    dd, D = _int_dist(U, dist)
+
+    preds: dict[str, dict[tuple, Fraction]] = {}
+    for p in sig.preds:
+        raw = {tup: Fraction(rng.randint(0, grid), grid) for tup in itertools.product(U, repeat=p.arity)}
+        mean = sum(raw.values(), Fraction(0)) / len(raw)
+
+        def blend(lam: Fraction) -> dict[tuple, Fraction]:
+            return {tup: mean + lam * (v - mean) for tup, v in raw.items()}
+
+        def passes(lam: Fraction) -> bool:
+            return _lipschitz_break(D, dd, p, list(blend(lam).values())) is None
+
+        if passes(Fraction(1)):
+            preds[p.name] = raw
+        else:
+            lo, hi = Fraction(0), Fraction(1)
+            for _ in range(6):
+                mid = (lo + hi) / 2
+                if passes(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            preds[p.name] = blend(lo)
+
+    funcs: dict[str, dict[tuple, Point]] = {}
+    for f in sig.funcs:
+        table = None
+        for _ in range(64):
+            cand = [rng.randrange(size) for _ in range(size**f.arity)]
+            if _lipschitz_break(D, dd, f, cand) is None:
+                table = dict(zip(itertools.product(U, repeat=f.arity), (U[x] for x in cand)))
+                break
+        if table is None:  # a projection, or a constant map when the modulus is below 1
+            table = {tup: tup[0] if f.lipschitz >= 1 else U[0] for tup in itertools.product(U, repeat=f.arity)}
+        funcs[f.name] = table
+
+    consts = {name: U[rng.randrange(size)] for name in sig.consts}
+    return FiniteStructure(sig, U, dist, preds, funcs, consts)
+
+
+# a binary predicate and moduli below 1, so most tables are blended
+BLEND_SIG = Signature(
+    preds=(PredSym("P", 2, Fraction(1, 8)), PredSym("Q", 1, Fraction(5, 3))),
+    funcs=(FuncSym("g", 1, Fraction(1, 8)),),
+    consts=("c",),
+)
+
+
+@pytest.mark.parametrize("sig", SIGS + [BLEND_SIG], ids=["binary-g", "unary-g", "odd-moduli", "blend"])
+def test_random_structure_matches_reference(sig):
+    blended = 0
+    for size in range(1, 9):
+        for seed in range(40):
+            s = st.random_structure(sig, size, seed)
+            assert st.to_json(s) == st.to_json(reference_random_structure(sig, size, seed)), (size, seed)
+            # raw values lie on the 1/16 grid; a blended table leaves it
+            blended += any(v.denominator > 16 for p in sig.preds for v in s.preds[p.name].values())
+    assert blended >= 100
 
 
 # --------------------------------------------------------------------------
