@@ -242,13 +242,15 @@ class GuardedExists:
 
     Each bound ((v1..vk), t) asserts meet(v1..vk) <= t where t is a term
     over free variables. Semantically identical to `expand_raw`. Compiled,
-    a block searches its z variables over class bitmasks, largest first and
-    below the caps their one-variable bounds set, reading the body with the
-    variables not yet chosen at their caps: as the body is monotone in them,
-    a false reading prunes the candidate and every class below it. Body
-    values are memoized per evaluation session, keyed on the body's free
-    variables. A block whose body `proves_monotone` cannot vouch for, or
-    whose bounds mention its own variables, compiles as its raw expansion.
+    a block whose body is an `or` splits into one block per disjunct
+    (`_split`), and a block searches its z variables over class bitmasks,
+    largest first and below the caps their one-variable bounds set,
+    reading the body with the variables not yet chosen at their caps: as
+    the body is monotone in them, a false reading prunes the candidate and
+    every class below it. Body values are memoized per evaluation session,
+    keyed on the body's free variables. A block whose body
+    `proves_monotone` cannot vouch for, or whose bounds mention its own
+    variables, compiles as its raw expansion.
     """
 
     zvars: tuple[str, ...]
@@ -487,12 +489,35 @@ class _Program:
         or in a session of many evaluations (dense) bytearrays made on use."""
         return [[None if dense else defaultdict(int) for _ in range(self.memos)]] + [0] * len(self.slots)
 
+    def sat(self, B: QuotientBA, assignment: Mapping[str, frozenset]) -> bool:
+        """The formula on an assignment of classes of B, in a fresh session."""
+        env = self.session()
+        try:
+            for name, s in zip(self.names, self.free):
+                env[s] = B.masks[assignment[name]]
+        except KeyError:
+            raise ValueError(f"Boolean variable {name!r} is unbound or not assigned a class of B") from None
+        return self.run(env)
+
+
+def _split(g: GuardedExists, d: BooleanFormula) -> BooleanFormula:
+    """g with body d over the z free in d and the bounds meeting no other z
+    (exact: a dropped z at 0 meets its bounds at 0); no z left, a conjunction."""
+    dropped = set(g.zvars).difference(free_bvars(d))
+    zs = tuple(z for z in g.zvars if z not in dropped)
+    part = GuardedExists(zs, tuple(b for b in g.bounds if dropped.isdisjoint(b[0])), d)
+    return part if zs else part.expand_raw()
+
 
 def _guarded(c: _Program, g: GuardedExists) -> Callable:
-    """The pruned witness search of a guarded block (see GuardedExists),
-    or its raw expansion when the pruning is not provably sound."""
+    """A guarded block compiled (see GuardedExists): split at an `or` body,
+    each part compiled here again, else the pruned witness search, or the
+    raw expansion where the bounds mention z or pruning is not provably sound."""
     zset = set(g.zvars)
-    if not proves_monotone(g.body, zset) or any(zset.intersection(free_bvars(t)) for _, t in g.bounds):
+    own = any(zset.intersection(free_bvars(t)) for _, t in g.bounds)
+    if isinstance(g.body, BOr) and not own:
+        return c.compile(BOr(tuple(_split(g, d) for d in g.body.args)))
+    if own or not proves_monotone(g.body, zset):
         return c.compile(g.expand_raw())
     k, one = c.k, c.one
     down = [sum(1 << s for s in range(e + 1) if not s & ~e) for e in range(one + 1)]
@@ -581,16 +606,8 @@ def ba_eval(B: QuotientBA, f: BooleanFormula, assignment: Mapping[str, frozenset
 
     f is compiled once per core size (a bounded cache keyed on f and the
     core size) into closures over class bitmasks; the assignment's classes
-    are converted at the boundary. A guarded block runs its pruned search
-    only when `proves_monotone` vouches for its body, else its raw expansion."""
-    prog = _program(f, len(B.core))
-    env = prog.session()
-    try:
-        for name, s in zip(prog.names, prog.free):
-            env[s] = B.masks[assignment[name]]
-    except KeyError:
-        raise ValueError(f"Boolean variable {name!r} is unbound or not assigned a class of B") from None
-    return prog.run(env)
+    are converted at the boundary (see GuardedExists for guarded blocks)."""
+    return _program(f, len(B.core)).sat(B, assignment)
 
 
 # --------------------------------------------------------------------------
@@ -630,9 +647,14 @@ def is_monotone(
             for idx in range(len(truth))
         )
     rng = random.Random(seed)
+    randrange, rand, size, bits = rng.randrange, rng.random, prog.one + 1, [1 << i for i in range(k)]
     for _ in range(1000):
-        lo = [rng.randrange(prog.one + 1) for _ in names]
-        hi = [x | sum(1 << i for i in range(k) if rng.random() < 0.5) for x in lo]
+        lo = [randrange(size) for _ in names]
+        hi = []
+        for x in lo:
+            for bit in bits:
+                x |= bit if rand() < 0.5 else 0
+            hi.append(x)
         if sat(lo) and not sat(hi):
             return False
     return True

@@ -50,8 +50,8 @@ from .boolean_ideals import (
     TermEq,
     _children,
     _map_children,
+    _program,
     b_false,
-    ba_eval,
     expand_guarded,
     free_bvars,
     quotient,
@@ -367,8 +367,11 @@ def _profile_env(B: QuotientBA, sets_by_block: Sequence[Sequence[frozenset]]) ->
     return env
 
 
-def _sigma_verdicts(ds: DeterminingSequence, B: QuotientBA, env: Mapping[str, frozenset]) -> list[bool]:
-    return [ba_eval(B, sig, env) for sig in ds.sigmas]
+def _sigma_verdicts(ds: DeterminingSequence, B: QuotientBA, *readings: Sequence) -> list[list[bool]]:
+    """The sigmas' verdicts on each reading's level sets; each sigma's
+    compiled program is looked up once for all the readings."""
+    progs = [_program(sig, len(B.core)) for sig in ds.sigmas]
+    return [[prog.sat(B, env) for prog in progs] for env in (_profile_env(B, sets) for sets in readings)]
 
 
 def fv_bounds(
@@ -387,8 +390,7 @@ def fv_bounds(
         ds = translate(normalize_restricted(f), n)
     B = quotient(fam.ideal)
     ls = level_sets(ds, fam, abar)
-    sat_strict = _sigma_verdicts(ds, B, _profile_env(B, ls.strict))
-    return _window(ds, sat_strict, _sigma_verdicts(ds, B, _profile_env(B, ls.weak)))
+    return _window(ds, *_sigma_verdicts(ds, B, ls.strict, ls.weak))
 
 
 def _window(ds: DeterminingSequence, sat_strict: Sequence[bool], sat_weak: Sequence[bool]) -> FVBounds:
@@ -477,12 +479,9 @@ def certify_sequence(
     env = {v: project(rp, abar[v]) for v in ds.freevars}
     direct = evaluate(rp.structure, f, env)
 
-    sat_strict = _sigma_verdicts(ds, B, _profile_env(B, ls.strict))
-    sat_weak = _sigma_verdicts(ds, B, _profile_env(B, ls.weak))
     augmented = [(omega_set,) + row[:-1] for row in ls.strict]
     shifted = [row[1:] + (empty,) for row in ls.weak]
-    sat_aug = _sigma_verdicts(ds, B, _profile_env(B, augmented))
-    sat_shift = _sigma_verdicts(ds, B, _profile_env(B, shifted))
+    sat_strict, sat_weak, sat_aug, sat_shift = _sigma_verdicts(ds, B, ls.strict, ls.weak, augmented, shifted)
 
     bounds = _window(ds, sat_strict, sat_weak)
 
@@ -549,10 +548,7 @@ def pad_shift_check(ds: DeterminingSequence, B: QuotientBA) -> bool:
         left = ds.sigmas[l - 1]
         right = subst_bvars(ds.sigmas[l], pad)
         names = tuple(dict.fromkeys(free_bvars(left) + free_bvars(right)))
-        if not names:
-            if ba_eval(B, left, {}) != ba_eval(B, right, {}):
-                return False
-            continue
+        prog_l, prog_r = _program(left, len(B.core)), _program(right, len(B.core))
         if len(B.elements) ** len(names) <= 2**16:
             combos = itertools.product(B.elements, repeat=len(names))
         else:
@@ -560,7 +556,7 @@ def pad_shift_check(ds: DeterminingSequence, B: QuotientBA) -> bool:
             combos = (tuple(B.elements[rng.randrange(len(B.elements))] for _ in names) for _ in range(1000))
         for combo in combos:
             env = dict(zip(names, combo))
-            if ba_eval(B, left, env) != ba_eval(B, right, env):
+            if prog_l.sat(B, env) != prog_r.sat(B, env):
                 return False
     return True
 

@@ -15,7 +15,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional, Sequence
@@ -108,13 +108,19 @@ class ResourceCaps:
 
 def load_caps(path: Optional[str] = None) -> ResourceCaps:
     """Read the enforcement limits from a JSON file; the packaged
-    defaults are used when no path is given."""
+    defaults are used when no path is given. A file that is not an object
+    of exactly the caps' fields raises ValueError naming the odd keys."""
     if path is None:
         text = resources.files(__package__).joinpath("default_caps.json").read_text()
     else:
         with open(path) as fh:
             text = fh.read()
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a caps file must hold a JSON object")
+    names = {f.name for f in fields(ResourceCaps)}
+    if set(doc) != names:
+        raise ValueError(f"caps file: unknown keys {sorted(set(doc) - names)}, missing keys {sorted(names - set(doc))}")
     return ResourceCaps(**doc)
 
 

@@ -325,6 +325,55 @@ GUARDED_SHAPES = [
     ),
     # a body that is not monotone in z: searched by its raw expansion
     GuardedExists(("z",), ((("z",), BVar("y")),), BNot(NotZero(BVar("z")))),
+    # an `or` body whose disjuncts share z2: both parts keep z2 and its bound,
+    # and only the second keeps the bound over z2 and z3
+    GuardedExists(
+        ("z1", "z2", "z3"),
+        (
+            (("z1",), BVar("y1")),
+            (("z2",), BVar("y2")),
+            (("z3",), BCompl(BVar("y1"))),
+            (("z2", "z3"), BVar("y3")),
+        ),
+        BOr((NotZero(BMeet(BVar("z1"), BVar("z2"))), NotZero(BMeet(BVar("z2"), BVar("z3"))))),
+    ),
+    # a bound over z1 and z2 where the first disjunct drops z2, so its part
+    # must drop the bound; the outer block's z2 shares the slot of the inner
+    # one, so a part that kept the bound would read the outer z2
+    GuardedExists(
+        ("z2",),
+        ((("z2",), BVar("y3")),),
+        BAnd(
+            (
+                NotZero(BVar("z2")),
+                GuardedExists(
+                    ("z1", "z2"),
+                    ((("z1",), BVar("y1")), (("z2",), BVar("y2")), (("z1", "z2"), BCompl(BVar("y2")))),
+                    BOr((NotZero(BMeet(BVar("z1"), BVar("y2"))), NotZero(BMeet(BVar("z2"), BCompl(BVar("y1")))))),
+                ),
+            )
+        ),
+    ),
+    # a disjunct with no z: its part is the plain conjunction of the bound
+    # over free variables alone and the disjunct
+    GuardedExists(
+        ("z1",),
+        ((("z1",), BVar("y1")), (("y2",), BVar("y3"))),
+        BOr((NotZero(BMeet(BVar("z1"), BVar("y2"))), TermEq(BVar("y1"), BOne()))),
+    ),
+    # a one-disjunct `or` that mentions z1 only: z2 and both its bounds drop
+    GuardedExists(
+        ("z1", "z2"),
+        ((("z1",), BVar("y1")), (("z2",), BCompl(BVar("y2"))), (("z1", "z2"), BVar("y2"))),
+        BOr((NotZero(BMeet(BVar("z1"), BVar("y2"))),)),
+    ),
+    # an `or` body under a bound that mentions z2: not split, since the
+    # first disjunct drops z2 while z1 <= z2 needs it
+    GuardedExists(
+        ("z1", "z2"),
+        ((("z1",), BVar("z2")), (("z2",), BVar("y1"))),
+        BOr((NotZero(BMeet(BVar("z1"), BVar("y2"))), NotZero(BMeet(BVar("z2"), BVar("y3"))))),
+    ),
 ]
 
 
@@ -363,18 +412,22 @@ def _bterms(leaves):
 def guarded_blocks(draw):
     """A GuardedExists block over 1-3 z variables and the free y1, y2. Each
     bound meets one or two z variables below a term over y1 and y2; the
-    body is an atom, a negated atom or a junction of two atoms over the z
-    and y variables, so it may or may not be monotone in z."""
+    body is an atom, a negated atom, a junction of two atoms, or an `or` of
+    2-4 conjunctions of 1-3 atoms or negated atoms, over the z and y
+    variables, so it may or may not be monotone in z and an `or` body's
+    disjuncts may mention any subset of the z variables."""
     zs = tuple(f"z{i}" for i in range(draw(hs.integers(1, 3))))
     ys = [BVar("y1"), BVar("y2"), BZero(), BOne()]
     bound = hs.tuples(hs.lists(hs.sampled_from(zs), min_size=1, max_size=2, unique=True).map(tuple), _bterms(ys))
     t = _bterms([BVar(z) for z in zs] + ys)
     atom = hs.one_of(hs.builds(NotZero, t), hs.builds(TermLe, t, t), hs.builds(TermEq, t, t))
+    conj = hs.lists(hs.one_of(atom, hs.builds(BNot, atom)), min_size=1, max_size=3).map(lambda a: BAnd(tuple(a)))
     body = hs.one_of(
         atom,
         hs.builds(BNot, atom),
         hs.builds(lambda a, b: BAnd((a, b)), atom, atom),
         hs.builds(lambda a, b: BOr((a, b)), atom, atom),
+        hs.lists(conj, min_size=2, max_size=4).map(lambda d: BOr(tuple(d))),
     )
     return GuardedExists(zs, tuple(draw(hs.lists(bound, max_size=3))), draw(body))
 
@@ -410,7 +463,7 @@ def test_proves_monotone_reads_polarity():
     # a guarded bound reads its meet variables as the left side of <=
     assert not proves_monotone(GuardedExists(("z",), ((("z", "y"), BZero()),), NotZero(z)))
     assert proves_monotone(GuardedExists(("z",), ((("z",), y),), NotZero(z)))
-    assert not proves_monotone(GUARDED_SHAPES[-1].body, ["z"])
+    assert not proves_monotone(GUARDED_SHAPES[6].body, ["z"])
 
 
 def test_bound_variables_do_not_leak_out_of_their_scope():
@@ -655,6 +708,42 @@ def test_is_monotone_sampled_route():
     B = quotient(trivial_ideal((1, 2)))
     assert is_monotone(NotZero(BVar("y")), B, exhaustive_vars=0)
     assert not is_monotone(TermEq(BVar("y"), BZero()), B, exhaustive_vars=0)
+
+
+# The comparable pairs is_monotone's sampled route drew before its drawing
+# was rewritten with bound methods; the two lines in the loop are verbatim.
+def reference_pairs(names, prog, k, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(1000):
+        lo = [rng.randrange(prog.one + 1) for _ in names]
+        hi = [x | sum(1 << i for i in range(k) if rng.random() < 0.5) for x in lo]
+        out.append((lo, hi))
+    return out
+
+
+class _Recorder(bi._Program):
+    """A program that holds everywhere and records every assignment it is run on."""
+
+    def __init__(self, f, k):
+        super().__init__(f, k)
+        self.seen = []
+        self.run = lambda env: self.seen.append([env[s] for s in self.free]) or True
+        _Recorder.last = self
+
+
+def test_sampled_pairs_match_reference(monkeypatch):
+    monkeypatch.setattr(bi, "_Program", _Recorder)
+    for k in (1, 2, 3):
+        B = quotient(trivial_ideal(tuple(range(k))))
+        for count in range(1, 35):
+            names = [f"y{i}" for i in range(count)]
+            f = BAnd(tuple(NotZero(BVar(v)) for v in names))
+            seed = 100 * k + count
+            assert is_monotone(f, B, seed=seed, exhaustive_vars=0)
+            seen = _Recorder.last.seen
+            want = reference_pairs(names, _Recorder.last, k, seed)
+            assert list(zip(seen[0::2], seen[1::2])) == want, (k, count)
 
 
 # --------------------------------------------------------------------------

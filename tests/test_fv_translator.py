@@ -359,6 +359,26 @@ def test_certify_bounds_equal_fv_bounds_on_battery_sentences():
     assert checked >= 20
 
 
+def test_certify_looks_up_each_sigma_once(monkeypatch):
+    # certify reads four level-set readings and fv_bounds two, each sigma's
+    # compiled program fetched once; the verdicts are ba_eval's, reading by reading
+    lookups = []
+    fetch = fv._program
+    monkeypatch.setattr(fv, "_program", lambda f, k: lookups.append(f) or fetch(f, k))
+    fam = value_family(close_ideal((1, 2, 3), [{1}]))
+    B = quotient(fam.ideal)
+    for f in (P_c, Sup("x", P_x), Monus(P_c, Half(P_c))):
+        ds = translate(normalize_restricted(f), 2)
+        for run in (lambda: certify_sequence(ds, f, fam, {}), lambda: fv_bounds(f, 2, fam, {}, ds)):
+            lookups.clear()
+            run()
+            assert lookups == list(ds.sigmas), f
+        ls = level_sets(ds, fam, {})
+        readings = (ls.strict, ls.weak, [row[::-1] for row in ls.weak])
+        want = [[ba_eval(B, s, fv._profile_env(B, sets)) for s in ds.sigmas] for sets in readings]
+        assert fv._sigma_verdicts(ds, B, *readings) == want
+
+
 # --------------------------------------------------------------------------
 # certification
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -67,6 +68,27 @@ def test_caps_from_custom_file(tmp_path):
     p.write_text(json.dumps(doc))
     caps = hc.load_caps(str(p))
     assert caps.battery_depth == 1 and caps.max_psis == 10
+
+
+def test_caps_file_with_unknown_key_is_a_value_error(tmp_path):
+    # a caps file from before the product cap moved out of ResourceCaps
+    doc = {**dataclasses.asdict(hc.load_caps()), "max_product_points": 4096}
+    p = tmp_path / "caps.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"unknown keys \['max_product_points'\], missing keys \[\]"):
+        hc.load_caps(str(p))
+
+
+def test_caps_file_with_missing_key_is_a_value_error(tmp_path):
+    doc = dataclasses.asdict(hc.load_caps())
+    del doc["max_psis"]
+    p = tmp_path / "caps.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"unknown keys \[\], missing keys \['max_psis'\]"):
+        hc.load_caps(str(p))
+    p.write_text("[4096]")
+    with pytest.raises(ValueError, match="must hold a JSON object"):
+        hc.load_caps(str(p))
 
 
 def test_battery_depth_enforced_before_construction():
