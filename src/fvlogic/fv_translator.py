@@ -57,7 +57,7 @@ from .boolean_ideals import (
     quotient,
     subst_bvars,
 )
-from .reduced_products import Family, ReducedProduct, project, reduced_product
+from .reduced_products import Family, project, reduced_product
 from .structures import evaluate
 from .syntax import (
     Atomic,
@@ -450,12 +450,11 @@ def certify(
     n: int,
     fam: Family,
     abar: Mapping[str, tuple],
-    rp: Optional[ReducedProduct] = None,
 ) -> CertifyResult:
     """Check every implication the compiled sequence promises against
     brute-force evaluation in the reduced product; exact arithmetic."""
     ds = translate(normalize_restricted(f), n)
-    return certify_sequence(ds, f, fam, abar, rp=rp)
+    return certify_sequence(ds, f, fam, abar)
 
 
 def certify_sequence(
@@ -463,7 +462,6 @@ def certify_sequence(
     f: Formula,
     fam: Family,
     abar: Mapping[str, tuple],
-    rp: Optional[ReducedProduct] = None,
 ) -> CertifyResult:
     """Same checks as certify but on an explicitly supplied sequence,
     so corrupted sequences can be run against the honest value."""
@@ -474,8 +472,7 @@ def certify_sequence(
     omega_set = frozenset(fam.ideal.omega)
     empty = frozenset()
 
-    if rp is None:
-        rp = reduced_product(fam)
+    rp = reduced_product(fam)
     env = {v: project(rp, abar[v]) for v in ds.freevars}
     direct = evaluate(rp.structure, f, env)
 

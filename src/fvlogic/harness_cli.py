@@ -15,9 +15,8 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import Iterable, Optional, Sequence
 
 from . import fv_translator as fvt
@@ -36,7 +35,6 @@ from .reduced_products import (
     family_from_json,
     fubini_iso,
     principal_ultraproduct_iso,
-    product_cap,
     reduced_product,
     reduced_product_to_json,
 )
@@ -106,22 +104,29 @@ class ResourceCaps:
     max_guard_vars: int
 
 
-def load_caps(path: Optional[str] = None) -> ResourceCaps:
-    """Read the enforcement limits from a JSON file; the packaged
-    defaults are used when no path is given. A file that is not an object
-    of exactly the caps' fields raises ValueError naming the odd keys."""
-    if path is None:
-        text = resources.files(__package__).joinpath("default_caps.json").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("a caps file must hold a JSON object")
-    names = {f.name for f in fields(ResourceCaps)}
-    if set(doc) != names:
-        raise ValueError(f"caps file: unknown keys {sorted(set(doc) - names)}, missing keys {sorted(names - set(doc))}")
-    return ResourceCaps(**doc)
+# The desk-scale limits. The product point budget sits next to the code
+# that enforces it, as reduced_products.MAX_PRODUCT_POINTS.
+CAPS = ResourceCaps(
+    battery_depth=3,
+    battery_per_depth=48,
+    battery_keep_first=12,
+    max_omega=4,
+    max_structure=4,
+    max_n=2,
+    max_psis=120,
+    max_guard_vars=8,
+)
+
+
+def load_caps() -> ResourceCaps:
+    """The resource caps, `CAPS`."""
+    return CAPS
+
+
+def _gated_cost(f: Formula, n: int) -> tuple[int, int, bool]:
+    """translation_cost of f at n, and whether it fits the size caps."""
+    m, g = fvt.translation_cost(f, n)
+    return m, g, m <= CAPS.max_psis and g <= CAPS.max_guard_vars
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +179,7 @@ def _diagonal_pairs(k: int) -> Iterable[tuple[int, int]]:
             yield (m, j)
 
 
-def battery(sig: Signature, depth: int, caps: Optional[ResourceCaps] = None) -> Battery:
+def battery(sig: Signature, depth: int, caps: ResourceCaps = CAPS) -> Battery:
     """Deterministic pool of closed restricted sentences of nesting
     depth at most `depth`, grown layer by layer from the atoms.
 
@@ -184,11 +189,8 @@ def battery(sig: Signature, depth: int, caps: Optional[ResourceCaps] = None) -> 
     sentences such as Sup(x, P(x)), Half(P(c)) and Monus(P(c), One)
     always appear.
     """
-    caps = caps or load_caps()
-    if depth > 4:
-        raise ValueError("battery depth is capped at 4")
     if depth > caps.battery_depth:
-        raise ValueError(f"battery depth {depth} exceeds the configured cap {caps.battery_depth}")
+        raise ValueError(f"battery depth {depth} exceeds the cap {caps.battery_depth}")
 
     pool = _head_and_stride(_battery_atoms(sig), caps.battery_per_depth, caps.battery_keep_first)
     layers: list[list[Formula]] = [pool]
@@ -227,25 +229,13 @@ def random_ideal(rng: random.Random, max_omega: int) -> IdealSpec:
     return close_ideal(omega, [small] if small else [])
 
 
-def random_family(
-    sig: Signature,
-    rng: random.Random,
-    caps: ResourceCaps,
-    max_omega: Optional[int] = None,
-) -> Family:
-    """Seeded family whose induced reduced product respects both the
-    point cap (`product_cap()`) and the structure-size cap."""
-    ideal = random_ideal(rng, max_omega if max_omega is not None else caps.max_omega)
-    sizes = {g: rng.randint(1, caps.max_structure) for g in ideal.omega}
-
-    def core_classes() -> int:
-        return math.prod(sizes[g] for g in ideal.core)
-
-    def points() -> int:
-        return math.prod(sizes.values())
-
-    cap = product_cap()
-    while core_classes() > MAX_UNIVERSE or points() > cap:
+def random_family(sig: Signature, rng: random.Random, max_omega: int = CAPS.max_omega) -> Family:
+    """Seeded family within the index-set and structure-size caps, shrunk
+    until its reduced product has at most MAX_UNIVERSE classes; those caps
+    keep it far below MAX_PRODUCT_POINTS (4^4 = 256 points)."""
+    ideal = random_ideal(rng, max_omega)
+    sizes = {g: rng.randint(1, CAPS.max_structure) for g in ideal.omega}
+    while math.prod(sizes[g] for g in ideal.core) > MAX_UNIVERSE:
         biggest = max(sizes, key=lambda g: (sizes[g], g))
         sizes[biggest] -= 1
     structs = {g: random_structure(sig, sizes[g], rng.randrange(2**30)) for g in ideal.omega}
@@ -336,10 +326,9 @@ def _atomic_formula(rng: random.Random, sig: Signature) -> Formula:
     return Dist(rng.choice(terms), rng.choice(terms))
 
 
-def suite_atomic(seed: int, cases: int = 1000, caps: Optional[ResourceCaps] = None) -> SuiteReport:
+def suite_atomic(seed: int, cases: int = 1000) -> SuiteReport:
     """Atomic values in a reduced product equal the limsup of the
     coordinate values, checked on seeded random instances."""
-    caps = caps or load_caps()
     rng = random.Random(seed)
     started = time.time()
     failures: list[Failure] = []
@@ -347,7 +336,7 @@ def suite_atomic(seed: int, cases: int = 1000, caps: Optional[ResourceCaps] = No
     rp = None
     for i in range(cases):
         if i % 10 == 0:
-            fam = random_family(UNARY_SIG, rng, caps)
+            fam = random_family(UNARY_SIG, rng)
             rp = reduced_product(fam)
         phi = _atomic_formula(rng, UNARY_SIG)
         assignment = {v: _random_point(fam, rng) for v in free_vars(phi)}
@@ -365,19 +354,17 @@ def suite_fv(
     ns: Sequence[int],
     families: int,
     seed: int,
-    caps: Optional[ResourceCaps] = None,
     collect_sigmas: Optional[set] = None,
 ) -> list[SuiteReport]:
     """certify every battery sentence against one rotating pool of seeded
     families at each precision in ns, one report each; sentences whose
     compiled size would exceed the caps are skipped and listed."""
-    caps = caps or load_caps()
-    if max(ns) > caps.max_n:
-        raise ValueError(f"precision {max(ns)} exceeds the configured cap {caps.max_n}")
+    if max(ns) > CAPS.max_n:
+        raise ValueError(f"precision {max(ns)} exceeds the cap {CAPS.max_n}")
     rng = random.Random(seed)
     started = time.time()
-    bat = battery(BATTERY_SIG, depth, caps)
-    pool = [random_family(BATTERY_SIG, rng, caps, max_omega=min(3, caps.max_omega)) for _ in range(families)]
+    bat = battery(BATTERY_SIG, depth)
+    pool = [random_family(BATTERY_SIG, rng, max_omega=3) for _ in range(families)]
     reports = []
     for n in ns:
         failures: list[Failure] = []
@@ -385,8 +372,8 @@ def suite_fv(
         skipped: list[str] = []
         for i, sent in enumerate(bat.sentences):
             case = f"fv:n{n}:{i:03d}:{to_text(sent)}"
-            m, g = fvt.translation_cost(sent, n)
-            if m > caps.max_psis or g > caps.max_guard_vars:
+            m, g, fits = _gated_cost(sent, n)
+            if not fits:
                 skipped.append(f"{case} (size {m} subformulas, {g} guard variables)")
                 continue
             # two families per sentence, round-robin, so the whole pool is hit
@@ -425,23 +412,22 @@ def _relabel(s: FiniteStructure, perm: Sequence[int], tag: str) -> FiniteStructu
     return FiniteStructure(s.sig, universe, dist, preds, funcs, consts)
 
 
-def suite_preservation(seed: int, cases: int = 100, caps: Optional[ResourceCaps] = None) -> SuiteReport:
+def suite_preservation(seed: int, cases: int = 100) -> SuiteReport:
     """Coordinatewise-isomorphic families give reduced products with
     exactly equal sentence values, and the level sets read off by the
     compiler at precision n = 1 coincide as subsets of the index set."""
-    caps = caps or load_caps()
     rng = random.Random(seed)
     started = time.time()
-    bat = battery(BATTERY_SIG, caps.battery_depth, caps)
+    bat = battery(BATTERY_SIG, CAPS.battery_depth)
     failures: list[Failure] = []
     for i in range(cases):
         if i % 10 == 3:
             omega = tuple(range(1, rng.randint(2, 3) + 1))
-            fam = random_family(BATTERY_SIG, rng, caps, max_omega=len(omega))
+            fam = random_family(BATTERY_SIG, rng, max_omega=len(omega))
             fam = Family(principal_max_ideal(fam.ideal.omega, fam.ideal.omega[-1]), dict(fam.structures)) \
                 if len(fam.ideal.omega) > 1 else fam
         else:
-            fam = random_family(BATTERY_SIG, rng, caps, max_omega=3)
+            fam = random_family(BATTERY_SIG, rng, max_omega=3)
         relabeled = {}
         for g in fam.ideal.omega:
             s = fam.structures[g]
@@ -465,8 +451,7 @@ def suite_preservation(seed: int, cases: int = 100, caps: Optional[ResourceCaps]
                 vc = evaluate(fam.structures[gamma0], sent)
                 if va != vc:
                     failures.append(Failure(case, f"ultraproduct value {va} differs from coordinate value {vc}"))
-            m, g = fvt.translation_cost(sent, 1)
-            if m > caps.max_psis or g > caps.max_guard_vars:
+            if not _gated_cost(sent, 1)[2]:
                 continue
             ds = fvt.translate(normalize_restricted(sent), 1)
             if fvt.level_sets(ds, fam, {}) != fvt.level_sets(ds, famB, {}):
@@ -478,7 +463,7 @@ def _power(structure: FiniteStructure, ideal: IdealSpec) -> Family:
     return Family(ideal, {g: structure for g in ideal.omega})
 
 
-def suite_quotient_equiv(seed: int, caps: Optional[ResourceCaps] = None) -> SuiteReport:
+def suite_quotient_equiv(seed: int) -> SuiteReport:
     """Reduced powers of one structure over ideals with isomorphic
     quotient algebras take exactly equal values on the whole battery.
 
@@ -487,10 +472,9 @@ def suite_quotient_equiv(seed: int, caps: Optional[ResourceCaps] = None) -> Suit
     the argument, so isomorphic finite quotients exhibit the mechanism
     at desk scale without asserting the infinitary statement.
     """
-    caps = caps or load_caps()
     started = time.time()
     A = random_structure(BATTERY_SIG, 2, seed)
-    bat = battery(BATTERY_SIG, caps.battery_depth, caps)
+    bat = battery(BATTERY_SIG, CAPS.battery_depth)
     pairs = [
         # same index set and ideal: equality is definitional
         ("identical", trivial_ideal((1, 2)), trivial_ideal((1, 2))),
@@ -515,10 +499,9 @@ def suite_quotient_equiv(seed: int, caps: Optional[ResourceCaps] = None) -> Suit
     return _finish("quotient", seed, count, failures, [], [], started)
 
 
-def suite_fubini(seed: int, cases: int = 50, caps: Optional[ResourceCaps] = None) -> SuiteReport:
+def suite_fubini(seed: int, cases: int = 50) -> SuiteReport:
     """Iterating reduced products agrees with a single product over the
     sectionwise product ideal, witnessed by an explicit isomorphism."""
-    caps = caps or load_caps()
     rng = random.Random(seed)
     started = time.time()
     failures: list[Failure] = []
@@ -535,19 +518,18 @@ def suite_fubini(seed: int, cases: int = 50, caps: Optional[ResourceCaps] = None
     return _finish("fubini", seed, cases, failures, [], [], started)
 
 
-def suite_ultraproduct(seed: int, cases: int = 20, caps: Optional[ResourceCaps] = None) -> SuiteReport:
+def suite_ultraproduct(seed: int, cases: int = 20) -> SuiteReport:
     """A reduced product over the ideal of sets avoiding one coordinate
     is isomorphic to that coordinate's structure."""
-    caps = caps or load_caps()
     rng = random.Random(seed)
     started = time.time()
     failures: list[Failure] = []
     for i in range(cases):
-        k = rng.randint(2, min(3, caps.max_omega))
+        k = rng.randint(2, 3)
         omega = tuple(range(1, k + 1))
         gamma0 = rng.choice(omega)
         ideal = principal_max_ideal(omega, gamma0)
-        sizes = {g: rng.randint(1, caps.max_structure) for g in omega}
+        sizes = {g: rng.randint(1, CAPS.max_structure) for g in omega}
         fam = Family(ideal, {g: random_structure(UNARY_SIG, sizes[g], rng.randrange(2**30)) for g in omega})
         case = f"ultraproduct:{i:03d}:gamma{gamma0}"
         problems = principal_ultraproduct_iso(fam)
@@ -727,21 +709,21 @@ def _ds_to_json(ds: fvt.DeterminingSequence) -> dict:
     }
 
 
-def _cmd_translate(args: argparse.Namespace, caps: ResourceCaps) -> int:
+def _cmd_translate(args: argparse.Namespace) -> int:
     if args.sig is None:
         print("translate requires --sig (arities are needed to parse the formula)", file=sys.stderr)
         return 2
     with open(args.sig) as fh:
         sig = signature_from_json(json.load(fh))
     f = parse(args.formula, sig)
-    if args.n > caps.max_n:
-        print(f"--n {args.n} exceeds the configured cap {caps.max_n}", file=sys.stderr)
+    if args.n > CAPS.max_n:
+        print(f"--n {args.n} exceeds the cap {CAPS.max_n}", file=sys.stderr)
         return 2
-    m, g = fvt.translation_cost(f, args.n)
-    if m > caps.max_psis or g > caps.max_guard_vars:
+    m, g, fits = _gated_cost(f, args.n)
+    if not fits:
         print(
             f"translation would need {m} subformulas and {g} guard variables, "
-            f"above the caps ({caps.max_psis}, {caps.max_guard_vars})",
+            f"above the caps ({CAPS.max_psis}, {CAPS.max_guard_vars})",
             file=sys.stderr,
         )
         return 2
@@ -750,7 +732,7 @@ def _cmd_translate(args: argparse.Namespace, caps: ResourceCaps) -> int:
     return 0
 
 
-def _cmd_eval(args: argparse.Namespace, caps: ResourceCaps) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     with open(args.structure) as fh:
         doc = json.load(fh)
     sig = _load_signature(args.sig, [doc])
@@ -767,7 +749,7 @@ def _cmd_eval(args: argparse.Namespace, caps: ResourceCaps) -> int:
     return 0
 
 
-def _cmd_rp(args: argparse.Namespace, caps: ResourceCaps) -> int:
+def _cmd_rp(args: argparse.Namespace) -> int:
     if args.family is not None:
         with open(args.family) as fh:
             doc = json.load(fh)
@@ -791,22 +773,22 @@ def _cmd_rp(args: argparse.Namespace, caps: ResourceCaps) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace, caps: ResourceCaps) -> int:
-    depth = caps.battery_depth if args.depth is None else args.depth
+def _cmd_check(args: argparse.Namespace) -> int:
+    depth = CAPS.battery_depth if args.depth is None else args.depth
     reports: list[SuiteReport] = []
     wanted = args.suite
     if wanted in ("atomic", "all"):
-        reports.append(suite_atomic(args.seed, caps=caps))
+        reports.append(suite_atomic(args.seed))
     if wanted in ("fv", "all"):
-        ns = range(caps.max_n + 1) if args.n is None else [args.n]
-        reports += suite_fv(depth, ns, families=240, seed=args.seed, caps=caps)
+        ns = range(CAPS.max_n + 1) if args.n is None else [args.n]
+        reports += suite_fv(depth, ns, families=240, seed=args.seed)
     if wanted in ("preservation", "all"):
-        reports.append(suite_preservation(args.seed, caps=caps))
+        reports.append(suite_preservation(args.seed))
     if wanted in ("quotient", "all"):
-        reports.append(suite_quotient_equiv(args.seed, caps=caps))
-        reports.append(suite_ultraproduct(args.seed, caps=caps))
+        reports.append(suite_quotient_equiv(args.seed))
+        reports.append(suite_ultraproduct(args.seed))
     if wanted in ("fubini", "all"):
-        reports.append(suite_fubini(args.seed, caps=caps))
+        reports.append(suite_fubini(args.seed))
     for r in reports:
         print(r.summary() + f"  [{r.elapsed:.1f}s]")
     if args.out:
@@ -816,7 +798,7 @@ def _cmd_check(args: argparse.Namespace, caps: ResourceCaps) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _cmd_demo(args: argparse.Namespace, caps: ResourceCaps) -> int:
+def _cmd_demo(args: argparse.Namespace) -> int:
     report = demo_matrix_divisibility()
     lines = [report.text]
     lines.append(f"xi stages:  {list(report.pair.k_xi)}")
@@ -871,7 +853,6 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
 
-    caps = load_caps()
     handlers = {
         "translate": _cmd_translate,
         "eval": _cmd_eval,
@@ -880,7 +861,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
         "demo": _cmd_demo,
     }
     try:
-        return handlers[args.command](args, caps)
+        return handlers[args.command](args)
     except (ParseError, ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,20 +25,6 @@ from .syntax import Atomic, Dist, Formula, Signature, free_vars
 
 MAX_PRODUCT_POINTS = 4096
 _WELLDEF_BUDGET = 4096
-
-
-def product_cap() -> int:
-    """Point budget for one product; FV_MAX_PRODUCT_POINTS overrides."""
-    raw = os.environ.get("FV_MAX_PRODUCT_POINTS")
-    if raw is None:
-        return MAX_PRODUCT_POINTS
-    try:
-        cap = int(raw)
-    except ValueError as e:
-        raise ValueError(f"FV_MAX_PRODUCT_POINTS must be an integer, got {raw!r}") from e
-    if cap < 1:
-        raise ValueError("FV_MAX_PRODUCT_POINTS must be positive")
-    return cap
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +76,9 @@ def reduced_product(fam: Family) -> ReducedProduct:
     induced structure; limsup interpretations are exact rationals."""
     ideal = fam.ideal
     omega = ideal.omega
-    cap = product_cap()
     total = math.prod(len(fam.structures[g].universe) for g in omega)
-    if total > cap:
-        raise ValueError(f"product would have {total} points, cap is {cap}")
+    if total > MAX_PRODUCT_POINTS:
+        raise ValueError(f"product would have {total} points, cap is {MAX_PRODUCT_POINTS}")
     classes = math.prod(len(fam.structures[g].universe) for g in ideal.core)
     if classes > MAX_UNIVERSE:
         raise ValueError(f"reduced product would have {classes} classes, at most {MAX_UNIVERSE} are supported")
@@ -251,9 +235,6 @@ def fubini_iso(A: FiniteStructure, inner: IdealSpec, outer: IdealSpec) -> Fubini
     """Compare the reduced power of A over the product ideal (outer
     ideal on rows) with the iterated power (inner first, then outer),
     via the row-wise projection map; all comparisons are exact."""
-    v = validate(A)
-    if v is not None:
-        raise ValueError(f"base structure invalid: {v.message}")
     F = fubini(outer, inner)
     single = reduced_product(Family(F, {g: A for g in F.omega}))
     rp_inner = reduced_product(Family(inner, {n: A for n in inner.omega}))

@@ -416,7 +416,11 @@ def from_json(doc: Mapping, sig: Signature) -> FiniteStructure:
             raise ValueError(f"label {x!r} is not in the universe")
         return x
 
-    preds = {p.name: untensor(doc["preds"][p.name], p.arity, parse_fraction) for p in sig.preds}
-    funcs = {f.name: untensor(doc.get("funcs", {})[f.name], f.arity, as_point) for f in sig.funcs}
-    consts = {name: as_point(doc.get("consts", {})[name]) for name in sig.consts}
+    tables = {key: doc.get(key, {}) for key in ("preds", "funcs", "consts")}
+    for key, table in tables.items():
+        if not isinstance(table, dict):
+            raise ValueError(f"'{key}' must be an object")
+    preds = {p.name: untensor(tables["preds"][p.name], p.arity, parse_fraction) for p in sig.preds}
+    funcs = {f.name: untensor(tables["funcs"][f.name], f.arity, as_point) for f in sig.funcs}
+    consts = {name: as_point(tables["consts"][name]) for name in sig.consts}
     return FiniteStructure(sig, U, dist, preds, funcs, consts)

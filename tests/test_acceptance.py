@@ -66,12 +66,12 @@ def fv_runs():
     emitted sigma."""
     sigmas = set()
     t0 = time.time()
-    reports = hc.suite_fv(3, range(CAPS.max_n + 1), families=240, seed=SEED, caps=CAPS, collect_sigmas=sigmas)
+    reports = hc.suite_fv(3, range(CAPS.max_n + 1), families=240, seed=SEED, collect_sigmas=sigmas)
     return reports, sigmas, time.time() - t0
 
 
 def test_criterion_01_atomic_limsup(capsys):
-    rep = hc.suite_atomic(SEED, cases=1000, caps=CAPS)
+    rep = hc.suite_atomic(SEED, cases=1000)
     ok = rep.ok and rep.elapsed < 10
     announce(capsys, 1, ok, f"{rep.cases} cases, {len(rep.failures)} failures, {rep.elapsed:.1f}s")
     assert rep.ok, rep.failures[:3]
@@ -213,7 +213,7 @@ def test_criterion_05_pad_shift(capsys):
 
 
 def test_criterion_06_preservation(capsys):
-    rep = hc.suite_preservation(SEED, cases=100, caps=CAPS)
+    rep = hc.suite_preservation(SEED, cases=100)
     ok = rep.ok and rep.elapsed < 300
     announce(capsys, 6, ok, f"{rep.cases} sentence checks, {len(rep.failures)} failures, {rep.elapsed:.0f}s")
     assert rep.ok, rep.failures[:3]
@@ -221,19 +221,19 @@ def test_criterion_06_preservation(capsys):
 
 
 def test_criterion_07_quotient_equivalence(capsys):
-    rep = hc.suite_quotient_equiv(SEED, caps=CAPS)
+    rep = hc.suite_quotient_equiv(SEED)
     announce(capsys, 7, rep.ok, f"{rep.cases} sentence comparisons, {len(rep.failures)} failures")
     assert rep.ok, rep.failures[:3]
 
 
 def test_criterion_08_fubini(capsys):
-    rep = hc.suite_fubini(SEED, cases=50, caps=CAPS)
+    rep = hc.suite_fubini(SEED, cases=50)
     announce(capsys, 8, rep.ok, f"{rep.cases} instances, {len(rep.failures)} failures")
     assert rep.ok, rep.failures[:3]
 
 
 def test_criterion_09_principal_ultraproduct(capsys):
-    rep = hc.suite_ultraproduct(SEED, cases=20, caps=CAPS)
+    rep = hc.suite_ultraproduct(SEED, cases=20)
     announce(capsys, 9, rep.ok, f"{rep.cases} cases, {len(rep.failures)} failures")
     assert rep.ok, rep.failures[:3]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -7,12 +6,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import pytest
 
 from fvlogic import harness_cli as hc
-from fvlogic.boolean_ideals import close_ideal, trivial_ideal
+from fvlogic.boolean_ideals import close_ideal, principal_max_ideal, trivial_ideal
 from fvlogic.reduced_products import MAX_PRODUCT_POINTS, Family, family_to_json, reduced_product
 from fvlogic.structures import evaluate, from_json, from_json as structure_from_json, random_structure, to_json, validate
 from fvlogic.syntax import (
@@ -35,6 +35,7 @@ from fvlogic.syntax import (
 )
 
 CAPS = hc.load_caps()
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def texts(sentences):
@@ -51,44 +52,7 @@ def test_default_caps_frozen():
     assert CAPS.max_structure == 4
     assert CAPS.max_n == 2
     assert MAX_PRODUCT_POINTS == 4096
-
-
-def test_caps_from_custom_file(tmp_path):
-    doc = {
-        "battery_depth": 1,
-        "battery_per_depth": 8,
-        "battery_keep_first": 4,
-        "max_omega": 2,
-        "max_structure": 2,
-        "max_n": 1,
-        "max_psis": 10,
-        "max_guard_vars": 2,
-    }
-    p = tmp_path / "caps.json"
-    p.write_text(json.dumps(doc))
-    caps = hc.load_caps(str(p))
-    assert caps.battery_depth == 1 and caps.max_psis == 10
-
-
-def test_caps_file_with_unknown_key_is_a_value_error(tmp_path):
-    # a caps file from before the product cap moved out of ResourceCaps
-    doc = {**dataclasses.asdict(hc.load_caps()), "max_product_points": 4096}
-    p = tmp_path / "caps.json"
-    p.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"unknown keys \['max_product_points'\], missing keys \[\]"):
-        hc.load_caps(str(p))
-
-
-def test_caps_file_with_missing_key_is_a_value_error(tmp_path):
-    doc = dataclasses.asdict(hc.load_caps())
-    del doc["max_psis"]
-    p = tmp_path / "caps.json"
-    p.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"unknown keys \[\], missing keys \['max_psis'\]"):
-        hc.load_caps(str(p))
-    p.write_text("[4096]")
-    with pytest.raises(ValueError, match="must hold a JSON object"):
-        hc.load_caps(str(p))
+    assert hc.load_caps() is hc.CAPS
 
 
 def test_battery_depth_enforced_before_construction():
@@ -100,7 +64,7 @@ def test_battery_depth_enforced_before_construction():
 
 def test_suite_fv_precision_cap():
     with pytest.raises(ValueError):
-        hc.suite_fv(1, [CAPS.max_n + 1], families=4, seed=0, caps=CAPS)
+        hc.suite_fv(1, [CAPS.max_n + 1], families=4, seed=0)
 
 
 # --------------------------------------------------------------------------
@@ -182,7 +146,7 @@ def test_diagonal_pairs_order():
 def test_random_family_respects_caps():
     rng = random.Random(5)
     for _ in range(30):
-        fam = hc.random_family(hc.BATTERY_SIG, rng, CAPS)
+        fam = hc.random_family(hc.BATTERY_SIG, rng)
         sizes = {g: len(s.universe) for g, s in fam.structures.items()}
         assert all(1 <= v <= CAPS.max_structure for v in sizes.values())
         assert len(fam.ideal.omega) <= CAPS.max_omega
@@ -193,8 +157,8 @@ def test_random_family_respects_caps():
 
 
 def test_random_family_deterministic():
-    a = hc.random_family(hc.BATTERY_SIG, random.Random(9), CAPS)
-    b = hc.random_family(hc.BATTERY_SIG, random.Random(9), CAPS)
+    a = hc.random_family(hc.BATTERY_SIG, random.Random(9))
+    b = hc.random_family(hc.BATTERY_SIG, random.Random(9))
     assert a.ideal.omega == b.ideal.omega and a.ideal.sstar == b.ideal.sstar
     assert {g: to_json(s) for g, s in a.structures.items()} == {
         g: to_json(s) for g, s in b.structures.items()
@@ -217,12 +181,12 @@ def test_report_summary_and_json_shape():
 
 
 def test_suite_reports_reproducible():
-    r1 = hc.suite_atomic(3, cases=40, caps=CAPS)
-    r2 = hc.suite_atomic(3, cases=40, caps=CAPS)
+    r1 = hc.suite_atomic(3, cases=40)
+    r2 = hc.suite_atomic(3, cases=40)
     assert r1.ok
     assert json.dumps(r1.to_json()) == json.dumps(r2.to_json())
-    [f1] = hc.suite_fv(1, [0], families=8, seed=3, caps=CAPS)
-    [f2] = hc.suite_fv(1, [0], families=8, seed=3, caps=CAPS)
+    [f1] = hc.suite_fv(1, [0], families=8, seed=3)
+    [f2] = hc.suite_fv(1, [0], families=8, seed=3)
     assert f1.ok
     assert json.dumps(f1.to_json()) == json.dumps(f2.to_json())
 
@@ -232,20 +196,20 @@ def test_suite_reports_reproducible():
 
 
 def test_suite_atomic_passes():
-    rep = hc.suite_atomic(11, cases=60, caps=CAPS)
+    rep = hc.suite_atomic(11, cases=60)
     assert rep.ok and rep.cases == 60
 
 
 def test_suite_fv_small_passes_and_collects_sigmas():
     sigmas = set()
-    [rep] = hc.suite_fv(1, [1], families=12, seed=4, caps=CAPS, collect_sigmas=sigmas)
+    [rep] = hc.suite_fv(1, [1], families=12, seed=4, collect_sigmas=sigmas)
     assert rep.ok
     assert rep.cases == len(hc.battery(hc.BATTERY_SIG, 1, CAPS).sentences)
     assert sigmas
 
 
 def test_suite_fv_lists_oversize_sentences_as_skipped():
-    [rep] = hc.suite_fv(3, [1], families=8, seed=4, caps=CAPS)
+    [rep] = hc.suite_fv(3, [1], families=8, seed=4)
     assert rep.ok
     assert any("inf y . sup x . P(g(x,y))" in s for s in rep.skipped)
     # skipped entries carry the offending sizes
@@ -253,7 +217,7 @@ def test_suite_fv_lists_oversize_sentences_as_skipped():
 
 
 def test_suite_preservation_small_passes():
-    rep = hc.suite_preservation(6, cases=6, caps=CAPS)
+    rep = hc.suite_preservation(6, cases=6)
     assert rep.ok
     assert rep.cases == 6 * len(hc.battery(hc.BATTERY_SIG, CAPS.battery_depth, CAPS).sentences)
 
@@ -268,19 +232,19 @@ def test_relabel_produces_valid_isomorphic_copy():
 
 
 def test_suite_quotient_passes():
-    rep = hc.suite_quotient_equiv(1, caps=CAPS)
+    rep = hc.suite_quotient_equiv(1)
     assert rep.ok
     # three ideal pairs, whole battery each
     assert rep.cases == 3 * len(hc.battery(hc.BATTERY_SIG, CAPS.battery_depth, CAPS).sentences)
 
 
 def test_suite_fubini_passes():
-    rep = hc.suite_fubini(2, cases=12, caps=CAPS)
+    rep = hc.suite_fubini(2, cases=12)
     assert rep.ok and rep.cases == 12
 
 
 def test_suite_ultraproduct_passes():
-    rep = hc.suite_ultraproduct(2, cases=8, caps=CAPS)
+    rep = hc.suite_ultraproduct(2, cases=8)
     assert rep.ok and rep.cases == 8
 
 
@@ -421,7 +385,7 @@ def test_infer_signature_matches_reference_on_families():
     rng = random.Random(3)
     for sig in INFER_SIGS:
         for _ in range(6):
-            fam = hc.random_family(sig, rng, CAPS)
+            fam = hc.random_family(sig, rng)
             docs = list(family_to_json(fam)["structures"].values())
             assert hc._infer_signature(docs) == reference_infer_signature(docs), sig
 
@@ -609,23 +573,82 @@ def test_cli_eval_rejects_an_empty_tensor(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def malformed_inputs(files, edit):
+    """Write a structure, a family and a signature document, let `edit`
+    change them, and return the commands that read them with --sig."""
+    tmp, sig, s, fam = files
+    sdoc, fdoc, sigdoc = to_json(s), family_to_json(fam), signature_to_json(sig)
+    edit(sdoc, fdoc, sigdoc)
+    for name, doc in (("s", sdoc), ("fam", fdoc), ("sig", sigdoc)):
+        (tmp / f"bad_{name}.json").write_text(json.dumps(doc))
+    sig_arg = ["--sig", str(tmp / "bad_sig.json")]
+    return [
+        ["eval", "--formula", "P(c)", "--structure", str(tmp / "bad_s.json"), *sig_arg],
+        ["rp", "--structure", str(tmp / "bad_s.json"), "--ideal", str(tmp / "ideal.json"), *sig_arg],
+        ["rp", "--family", str(tmp / "bad_fam.json"), *sig_arg],
+    ]
+
+
+def zero_denominator(where):
+    def edit(sdoc, fdoc, sigdoc):
+        for doc in (sdoc, *fdoc["structures"].values()):
+            if where == "dist":
+                doc["dist"][0][1] = doc["dist"][1][0] = "1/0"
+            elif where == "preds":
+                doc["preds"]["P"][0] = "1/0"
+        if where == "lipschitz":
+            sigdoc["preds"][0]["lipschitz"] = "1/0"
+
+    return edit
+
+
+@pytest.mark.parametrize("where", ["dist", "preds", "lipschitz"])
+def test_cli_rejects_a_zero_denominator_in_one_line(files, capsys, where):
+    for argv in malformed_inputs(files, zero_denominator(where)):
+        assert hc.cli(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: zero denominator in '1/0'"], argv
+
+
+def list_table(key):
+    def edit(sdoc, fdoc, sigdoc):
+        for doc in (sdoc, *fdoc["structures"].values()):
+            doc[key] = list(doc[key].values())
+
+    return edit
+
+
+@pytest.mark.parametrize("key", ["preds", "funcs", "consts"])
+def test_cli_rejects_a_list_table_in_one_line(files, capsys, key):
+    for argv in malformed_inputs(files, list_table(key)):
+        assert hc.cli(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: '{key}' must be an object"], argv
+
+
 def test_cli_rp_needs_inputs(files):
     assert hc.cli(["rp"]) == 2
 
 
-def test_cli_rp_product_cap_env(files, monkeypatch):
-    tmp = files[0]
-    monkeypatch.setenv("FV_MAX_PRODUCT_POINTS", "2")
-    assert hc.cli(["rp", "--family", str(tmp / "fam.json")]) == 2
-    monkeypatch.setenv("FV_MAX_PRODUCT_POINTS", "100")
-    assert hc.cli(["rp", "--family", str(tmp / "fam.json")]) == 0
+def test_cli_rp_refuses_a_product_over_the_point_cap(files):
+    # 5 coordinates of 6 points: 7,776 points over a core of one, 6 classes
+    tmp, sig, _, _ = files
+    ideal = principal_max_ideal((1, 2, 3, 4, 5), 1)
+    fam = Family(ideal, {g: random_structure(sig, 6, seed=g) for g in ideal.omega})
+    (tmp / "wide.json").write_text(json.dumps(family_to_json(fam)))
+    proc = run_fv("rp", "--family", str(tmp / "wide.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: product would have 7776 points, cap is {MAX_PRODUCT_POINTS}"]
 
 
-def test_cli_check_draws_families_under_the_product_cap(monkeypatch, capsys):
-    # random families shrink to the cap that reduced_product enforces
-    monkeypatch.setenv("FV_MAX_PRODUCT_POINTS", "10")
-    assert hc.cli(["check", "--suite", "atomic", "--seed", "0"]) == 0
-    assert "[PASS] atomic" in capsys.readouterr().out
+@pytest.mark.parametrize("suite", ["atomic", "fv", "quotient", "fubini"])
+def test_cli_check_report_matches_the_committed_bytes(tmp_path, suite):
+    # the reports pin each suite's case count and skip list, which follow
+    # from the resource caps; preservation is left out for its run time
+    out = tmp_path / "report.json"
+    assert hc.cli(["check", "--suite", suite, "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"check_seed0_{suite}.json").read_bytes()
 
 
 def test_cli_check_writes_reproducible_report(files, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -105,13 +106,16 @@ def test_family_validation():
         rp.Family(trivial_ideal((1,)), {1: bad})
 
 
-def test_point_cap_and_env_override(monkeypatch):
-    fam = rp.Family(trivial_ideal((1, 2)), {1: two_pt(), 2: two_pt()})
-    monkeypatch.setenv("FV_MAX_PRODUCT_POINTS", "3")
-    with pytest.raises(ValueError):
-        rp.reduced_product(fam)
-    monkeypatch.setenv("FV_MAX_PRODUCT_POINTS", "not-a-number")
-    with pytest.raises(ValueError):
+def test_point_cap_refuses_before_enumerating(monkeypatch):
+    # 5 coordinates of 6 points: 7,776 points over a core of one, 6 classes
+    ideal = principal_max_ideal((1, 2, 3, 4, 5), 1)
+    fam = rp.Family(ideal, {g: random_structure(UNARY, 6, seed=g) for g in ideal.omega})
+
+    def enumerate_points(*_):
+        raise AssertionError("points were enumerated")
+
+    monkeypatch.setattr(rp, "itertools", SimpleNamespace(product=enumerate_points))
+    with pytest.raises(ValueError, match=f"product would have 7776 points, cap is {rp.MAX_PRODUCT_POINTS}"):
         rp.reduced_product(fam)
 
 
@@ -221,6 +225,17 @@ def test_fubini_mixed_ideals():
     assert rep.single_classes == 4 and rep.iterated_classes == 4
     rep2 = rp.fubini_iso(two_pt(), trivial_ideal((1, 2)), close_ideal(("u", "v"), [{"v"}]))
     assert rep2.ok and rep2.single_classes == 4
+
+
+def test_fubini_rejects_an_invalid_base_structure():
+    bad = FiniteStructure(
+        SIG,
+        ("a", "b"),
+        {("a", "a"): Fraction(0), ("b", "b"): Fraction(0), ("a", "b"): Fraction(1, 2), ("b", "a"): Fraction(1, 2)},
+        {"P": {("a",): Fraction(0), ("b",): Fraction(1)}},  # breaks the modulus
+    )
+    with pytest.raises(ValueError, match="invalid"):
+        rp.fubini_iso(bad, trivial_ideal((1,)), trivial_ideal(("u",)))
 
 
 def test_fubini_with_functions():

@@ -306,9 +306,8 @@ def test_validate_matches_reference_on_random_structures(sig):
 
 
 def test_validate_matches_reference_on_induced_structures():
-    caps = hc.load_caps()
     rng = random.Random(5)
-    fams = [hc.random_family(hc.BATTERY_SIG, rng, caps) for _ in range(12)]
+    fams = [hc.random_family(hc.BATTERY_SIG, rng) for _ in range(12)]
     # a 16-class product with binary g: the largest induced structure
     fams.append(rp.Family(trivial_ideal((1, 2)), {g: st.random_structure(hc.BATTERY_SIG, 4, g) for g in (1, 2)}))
     sizes = set()
@@ -636,9 +635,8 @@ def test_evaluate_matches_reference_on_random_structures(sig):
 
 
 def test_evaluate_matches_reference_on_induced_structures():
-    caps = hc.load_caps()
     rng = random.Random(11)
     cases = evaluation_cases(hc.BATTERY_SIG)
     for _ in range(8):
-        fam = hc.random_family(hc.BATTERY_SIG, rng, caps)
+        fam = hc.random_family(hc.BATTERY_SIG, rng)
         assert_evaluate_matches_reference(rp.reduced_product(fam).structure, cases)
