@@ -340,13 +340,15 @@ def level_sets(ds: DeterminingSequence, fam: Family, abar: Mapping[str, tuple]) 
     N = 2**ds.n
     strict = []
     weak = []
+    session: dict = {}  # one evaluate session: psis and coordinates share their subformula values
     for psi, names in zip(ds.psis, ds.psi_freevars):
-        vals = {}
+        # v = p/q is above i/N iff i < ceil(pN/q), and at or above it iff i <= floor(pN/q)
+        tops = []
         for i, g in enumerate(omega):
-            env = {v: abar[v][i] for v in names}
-            vals[g] = evaluate(fam.structures[g], psi, env)
-        strict.append(tuple(frozenset(g for g in omega if vals[g] > Fraction(i, N)) for i in range(N + 1)))
-        weak.append(tuple(frozenset(g for g in omega if vals[g] >= Fraction(i, N)) for i in range(N + 1)))
+            v = evaluate(fam.structures[g], psi, {x: abar[x][i] for x in names}, session)
+            tops.append((g, -(-v.numerator * N // v.denominator), v.numerator * N // v.denominator))
+        strict.append(tuple(frozenset(g for g, up, _ in tops if i < up) for i in range(N + 1)))
+        weak.append(tuple(frozenset(g for g, _, up in tops if i <= up) for i in range(N + 1)))
     return LevelSets(tuple(strict), tuple(weak))
 
 

@@ -653,10 +653,10 @@ def _infer_signature(docs: Sequence[dict]) -> Signature:
             d += 1
         return d
 
-    tables = ("preds", "funcs", "consts")
-    if not all(isinstance(d, dict) and all(isinstance(d.get(k, {}), dict) for k in tables) for d in docs):
-        raise ValueError("a structure document must be an object whose 'preds', 'funcs' and 'consts' are objects")
+    # the first document's tables are read for arities before from_json checks any document
     first = docs[0]
+    if not (isinstance(first, dict) and all(isinstance(first.get(k, {}), dict) for k in ("preds", "funcs", "consts"))):
+        raise ValueError("a structure document must be an object whose 'preds', 'funcs' and 'consts' are objects")
     fat = Signature(
         preds=tuple(
             PredSym(name, tensor_depth(t), Fraction(10**9)) for name, t in sorted(first.get("preds", {}).items())

@@ -239,13 +239,23 @@ _SEMANTICS: dict[type, Callable[..., Any]] = {
 }
 
 
-def evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] = None) -> Fraction:
+def evaluate(
+    s: FiniteStructure,
+    f: Formula,
+    val: Optional[Mapping[str, Point]] = None,
+    session: Optional[dict] = None,
+) -> Fraction:
     """Evaluate `f` in `s` under `val`. Handles derived connectives
-    directly (exactly), so it can serve as the oracle for normalization."""
+    directly (exactly), so it can serve as the oracle for normalization.
+    Calls that pass one `session` dict share, per structure, the node
+    table and the memo below, so their common subformulas run once."""
     env = dict(val or {})
-    # each node's free variables in first-occurrence order (Sup and Inf
-    # drop their bound variable), semantics row and children, by id
-    nodes: dict[int, tuple[tuple[str, ...], Optional[Callable[..., Any]], tuple]] = {}
+    # nodes: each node's free variables in first-occurrence order (Sup
+    # and Inf drop their bound variable), semantics row and children, by
+    # id; memo: values by node and the values of its free variables in
+    # env; keep: every node in the table, so that no id is reused
+    nodes: dict[int, tuple[tuple[str, ...], Optional[Callable[..., Any]], tuple]]
+    nodes, memo, keep = ({}, {}, []) if session is None else session.setdefault(s, ({}, {}, []))
 
     def prepare(g: Formula | Term) -> tuple[tuple[str, ...], Optional[Callable[..., Any]], tuple]:
         got = nodes.get(id(g))
@@ -256,10 +266,8 @@ def evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] 
             if isinstance(g, (sx.Sup, sx.Inf)):
                 names.pop(g.var, None)
             got = nodes[id(g)] = (tuple(names), _SEMANTICS.get(type(g)), kids)
+            keep.append(g)
         return got
-
-    # values by node and the values of its free variables in env
-    memo: dict[tuple, Any] = {}
 
     def go(g: Formula | Term) -> Any:
         if isinstance(g, sx.Var):
@@ -286,10 +294,15 @@ def evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] 
         memo[key] = out
         return out
 
-    missing = [v for v in prepare(f)[0] if v not in env]
-    if missing:
-        raise ValueError(f"unbound variable {missing[0]!r}")
-    return go(f)
+    try:
+        missing = [v for v in prepare(f)[0] if v not in env]
+        if missing:
+            raise ValueError(f"unbound variable {missing[0]!r}")
+        return go(f)
+    finally:
+        # the recursive closures reference themselves: break that cycle, so that
+        # a session's tables go with the session, not at a full collection
+        del prepare, go
 
 
 # --------------------------------------------------------------------------

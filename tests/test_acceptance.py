@@ -158,8 +158,7 @@ def test_criterion_05_pad_shift(capsys):
     N = 2**n
     gated = []
     for sent in bat.sentences:
-        m, g = fvt.translation_cost(sent, n)
-        if m <= CAPS.max_psis and g <= CAPS.max_guard_vars:
+        if hc._gated_cost(sent, n)[2]:
             gated.append((sent, fvt.translate(normalize_restricted(sent), n)))
 
     # (a) the exact identity over every assignment, on the fragment only

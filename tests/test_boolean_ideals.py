@@ -657,8 +657,7 @@ def battery_sigmas():
     sigmas = {}
     for n in (0, 1, 2):
         for sent in hc.battery(hc.BATTERY_SIG, 3, caps).sentences:
-            m, g = fvt.translation_cost(sent, n)
-            if m <= caps.max_psis and g <= caps.max_guard_vars:
+            if hc._gated_cost(sent, n)[2]:
                 sigmas.update(dict.fromkeys(fvt.translate(normalize_restricted(sent), n).sigmas))
     return list(sigmas)
 

@@ -1,8 +1,12 @@
 import itertools
+import random
 import re
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hs
 
 from fvlogic import fv_translator as fv
 from fvlogic import harness_cli as hc
@@ -26,6 +30,8 @@ from fvlogic.boolean_ideals import (
     trivial_ideal,
 )
 from fvlogic.fv_translator import (
+    DeterminingSequence,
+    LevelSets,
     certify,
     certify_sequence,
     count_atoms,
@@ -40,7 +46,7 @@ from fvlogic.fv_translator import (
     zname,
 )
 from fvlogic.reduced_products import Family
-from fvlogic.structures import FiniteStructure, random_structure
+from fvlogic.structures import FiniteStructure, evaluate, random_structure
 from fvlogic.syntax import (
     Atomic,
     Const,
@@ -56,6 +62,8 @@ from fvlogic.syntax import (
     Var,
     Zero,
     normalize_restricted,
+    parse,
+    to_text,
 )
 
 PSIG = Signature(preds=(PredSym("P", 1, Fraction(1)),), consts=("c",))
@@ -319,6 +327,93 @@ def test_level_sets_rejects_wrong_assignment():
         level_sets(ds, fam, {"x": ("o", "o", "o")})
 
 
+def reference_level_sets(ds: DeterminingSequence, fam: Family, abar: Mapping[str, tuple]) -> LevelSets:
+    """Threshold sets of each subformula along the family, strict (>)
+    and weak (>=), from exact coordinatewise evaluation."""
+    if set(abar) != set(ds.freevars):
+        raise ValueError(f"assignment must cover exactly {ds.freevars}")
+    omega = fam.ideal.omega
+    N = 2**ds.n
+    strict = []
+    weak = []
+    for psi, names in zip(ds.psis, ds.psi_freevars):
+        vals = {}
+        for i, g in enumerate(omega):
+            env = {v: abar[v][i] for v in names}
+            vals[g] = evaluate(fam.structures[g], psi, env)
+        strict.append(tuple(frozenset(g for g in omega if vals[g] > Fraction(i, N)) for i in range(N + 1)))
+        weak.append(tuple(frozenset(g for g in omega if vals[g] >= Fraction(i, N)) for i in range(N + 1)))
+    return LevelSets(tuple(strict), tuple(weak))
+
+
+@pytest.fixture(scope="module")
+def battery_sequences():
+    """The sequences of every gated depth-3 battery sentence at n = 0..2,
+    then those of every gated body of a sentence's outer sup or inf,
+    which have one free variable."""
+    closed, open_ = [], []
+    for n in range(3):
+        for sent in hc.battery(hc.BATTERY_SIG, 3).sentences:
+            f = normalize_restricted(sent)
+            if hc._gated_cost(sent, n)[2]:
+                closed.append(translate(f, n))
+            if isinstance(f, (Sup, Inf)) and hc._gated_cost(f.body, n)[2]:
+                open_.append(translate(f.body, n))
+    assert (len(closed), len(open_)) == (216, 132)
+    return closed + open_
+
+
+def assert_level_sets_match_reference(sequences, fam, point):
+    """level_sets equals the reference on every sequence; the free
+    variable takes `point(i, universe)` at coordinate i."""
+    universes = [fam.structures[g].universe for g in fam.ideal.omega]
+    for ds in sequences:
+        abar = {v: tuple(point(i, U) for i, U in enumerate(universes)) for v in ds.freevars}
+        assert level_sets(ds, fam, abar) == reference_level_sets(ds, fam, abar), (ds.psis[-1], ds.n, abar)
+
+
+def test_level_sets_match_reference_on_reduced_powers(battery_sequences):
+    # one structure object at every coordinate, so one session entry
+    # serves every coordinate, each at a different point
+    for seed, ideal in ((1, trivial_ideal((1, 2, 3))), (2, close_ideal((1, 2, 3, 4), [{1}, {3}]))):
+        A = random_structure(hc.BATTERY_SIG, 4, seed)
+        fam = Family(ideal, {g: A for g in ideal.omega})
+        assert_level_sets_match_reference(battery_sequences, fam, lambda i, U: U[i])
+
+
+def test_level_sets_match_reference_on_random_families(battery_sequences):
+    # distinct structures at the coordinates; in two of the three families
+    # two coordinates hold structures on the same universe
+    rng, points = random.Random(5), random.Random(6)
+    fams = [hc.random_family(hc.BATTERY_SIG, rng) for _ in range(3)]
+    assert sum(len({fam.structures[g].universe for g in fam.ideal.omega}) < len(fam.ideal.omega) for fam in fams) == 2
+    for fam in fams:
+        assert_level_sets_match_reference(battery_sequences, fam, lambda i, U: points.choice(U))
+
+
+def test_evaluate_session_keeps_dropped_formulas_apart():
+    # each formula is parsed afresh and dropped after its call, so a later
+    # node may take a dropped node's address; the session keys nodes by id
+    s = random_structure(hc.BATTERY_SIG, 3, 8)
+    texts = [to_text(sent) for sent in hc.battery(hc.BATTERY_SIG, 2).sentences]
+    want = [evaluate(s, parse(text, hc.BATTERY_SIG)) for text in texts]
+    session: dict = {}
+    assert [evaluate(s, parse(text, hc.BATTERY_SIG), None, session) for text in texts * 2] == want * 2
+    assert len(set(want)) > 5
+
+
+@given(hs.lists(hs.integers(0, 64), min_size=1, max_size=4), hs.sampled_from((0, 1, 2)))
+@example([0, 16, 32, 48, 64], 2)
+@example([32, 31, 33], 1)
+@example([64, 0], 0)
+def test_integer_thresholds_match_fraction_comparisons(nums, n):
+    # coordinate g holds the one-point structure with P = nums[g]/64;
+    # some values lie exactly on a level i/2^n
+    fam = Family(trivial_ideal(tuple(range(len(nums)))), {g: pt(Fraction(k, 64)) for g, k in enumerate(nums)})
+    ds = translate(P_c, n)
+    assert level_sets(ds, fam, {}) == reference_level_sets(ds, fam, {})
+
+
 def test_fv_bounds_oracle():
     fam = value_family(close_ideal((1, 2, 3), [{1}]))
     b = fv_bounds(P_c, 1, fam, {})
@@ -350,8 +445,7 @@ def test_certify_bounds_equal_fv_bounds_on_battery_sentences():
     checked = 0
     for sent in sentences:
         for n in range(3):
-            m, g = translation_cost(sent, n)
-            if m > caps.max_psis or g > caps.max_guard_vars:
+            if not hc._gated_cost(sent, n)[2]:
                 continue
             for fam in fams:
                 assert certify(sent, n, fam, {}).bounds == fv_bounds(sent, n, fam, {})
@@ -536,8 +630,7 @@ def test_walkers_agree_on_battery_sigmas():
     sigmas = {}
     for n in (0, 1):
         for sent in sentences:
-            m, g = translation_cost(sent, n)
-            if m <= caps.max_psis and g <= caps.max_guard_vars:
+            if hc._gated_cost(sent, n)[2]:
                 sigmas.update(dict.fromkeys(translate(normalize_restricted(sent), n).sigmas))
     assert len(sigmas) >= 40
     for s in sigmas:

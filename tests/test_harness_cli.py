@@ -626,6 +626,21 @@ def test_cli_rejects_a_list_table_in_one_line(files, capsys, key):
         assert out == "" and err.splitlines() == [f"error: '{key}' must be an object"], argv
 
 
+@pytest.mark.parametrize("key", ["preds", "funcs", "consts"])
+def test_cli_rp_family_rejects_a_list_table_in_a_later_document(files, capsys, key):
+    # without --sig, signature inference checks the first document's tables
+    # early; from_json checks those of every later document
+    tmp, sig, s, fam = files
+    fdoc = family_to_json(fam)
+    for label in list(fdoc["structures"])[1:]:
+        doc = fdoc["structures"][label]
+        doc[key] = list(doc[key].values())
+    (tmp / "bad_fam.json").write_text(json.dumps(fdoc))
+    assert hc.cli(["rp", "--family", str(tmp / "bad_fam.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: '{key}' must be an object"]
+
+
 def test_cli_rp_needs_inputs(files):
     assert hc.cli(["rp"]) == 2
 

@@ -319,8 +319,7 @@ def battery_formulas() -> list[Formula]:
     out = list(sentences)
     for n in range(caps.max_n + 1):
         for sent in sentences:
-            m, g = fvt.translation_cost(sent, n)
-            if m <= caps.max_psis and g <= caps.max_guard_vars:
+            if hc._gated_cost(sent, n)[2]:
                 out += fvt.translate(sx.normalize_restricted(sent), n).psis
     return out
 
