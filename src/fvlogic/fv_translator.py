@@ -120,6 +120,8 @@ class DeterminingSequence:
 
 
 _MEMO: dict[tuple[Formula, int], DeterminingSequence] = {}
+# the memo is emptied when a miss finds it this full, so a hit costs nothing more
+_MEMO_CAP = 65536
 
 
 def _zero_vec(L: int) -> tuple[int, ...]:
@@ -143,7 +145,10 @@ def translate(f: Formula, n: int) -> DeterminingSequence:
     if hit is not None:
         return hit
     f, rules, kids = _step(f, n, translate)
-    ds = _MEMO[key] = rules[0](f, n, tuple(free_vars(f)), *kids)
+    ds = rules[0](f, n, tuple(free_vars(f)), *kids)
+    if len(_MEMO) >= _MEMO_CAP:
+        _MEMO.clear()
+    _MEMO[key] = ds
     return ds
 
 

@@ -2,29 +2,29 @@
 
 A product point assigns to every index gamma a point of the structure
 at gamma; two points are identified when the limsup (along the ideal)
-of their coordinatewise distances is zero. On a finite ground set that
-happens exactly when the points agree on the core, the complement of
-the largest ideal member, so classes are computed by keying on the
-core coordinates. Every limsup-based quantity (distances, predicate
-values, the distance from each point to its class representative) is
-read through limsup_ideal, the max over the core.
+of their coordinatewise distances is zero. On a finite ground set the
+ideal is P(S*), so every limsup is the max over the core, the
+complement of S*, and two points are identified exactly when they agree
+on the core. The reduced product is therefore built from the core
+structures alone: one class per tuple of core points, with the max
+metric, max predicates and coordinatewise functions and constants.
+reduced_product never enumerates the product points; only the class map
+of reduced_product_to_json lists them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from .boolean_ideals import IdealSpec, fubini, ideal_from_json, ideal_to_json, limsup_ideal
 from .structures import MAX_UNIVERSE, FiniteStructure, Point, evaluate, from_json as structure_from_json, map_failures, to_json as structure_to_json, validate
 from .syntax import Atomic, Dist, Formula, Signature, free_vars
 
 MAX_PRODUCT_POINTS = 4096
-_WELLDEF_BUDGET = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,14 +54,33 @@ class Family:
         return self.structures[self.ideal.omega[0]].sig
 
 
+@dataclass(frozen=True)
+class ProductPoints:
+    """The points of a product, as a lazy view: its length is the product
+    of the universe sizes, and it iterates in `itertools.product` order."""
+
+    universes: tuple[tuple, ...]
+
+    def __len__(self) -> int:
+        return math.prod(len(u) for u in self.universes)
+
+    def __iter__(self) -> Iterator[tuple]:
+        return itertools.product(*self.universes)
+
+
 @dataclass(frozen=True, eq=False)
 class ReducedProduct:
     family: Family
-    points: tuple[tuple, ...]
+    points: ProductPoints
     reps: tuple[tuple, ...]
     labels: tuple[str, ...]
-    class_index: Mapping[tuple, int]
+    core_pos: tuple[int, ...]
+    class_of_key: Mapping[tuple, int]
     structure: FiniteStructure
+
+    def label_of(self, point: tuple) -> str:
+        """The label of a point's class, read off its core coordinates."""
+        return self.labels[self.class_of_key[tuple(point[i] for i in self.core_pos)]]
 
 
 def _class_labels(reps: Sequence[tuple]) -> tuple[str, ...]:
@@ -72,8 +91,9 @@ def _class_labels(reps: Sequence[tuple]) -> tuple[str, ...]:
 
 
 def reduced_product(fam: Family) -> ReducedProduct:
-    """Enumerate all product points, partition them, and build the
-    induced structure; limsup interpretations are exact rationals."""
+    """Build the induced structure from the core structures alone: one
+    class per tuple of core points, with the max metric and max
+    predicates; limsup interpretations are exact rationals."""
     ideal = fam.ideal
     omega = ideal.omega
     total = math.prod(len(fam.structures[g].universe) for g in omega)
@@ -83,89 +103,53 @@ def reduced_product(fam: Family) -> ReducedProduct:
     if classes > MAX_UNIVERSE:
         raise ValueError(f"reduced product would have {classes} classes, at most {MAX_UNIVERSE} are supported")
 
-    universes = [fam.structures[g].universe for g in omega]
-    points = tuple(itertools.product(*universes))
-    core_pos = [i for i, g in enumerate(omega) if g in set(ideal.core)]
-
-    def key(p: tuple) -> tuple:
-        return tuple(p[i] for i in core_pos)
-
+    structs = [fam.structures[g] for g in omega]
+    core_pos = tuple(i for i, g in enumerate(omega) if g not in ideal.sstar)
+    core = [structs[i] for i in core_pos]
+    # one class per tuple of core points, in the order the classes first
+    # appear in the product; a class's first point has every off-core
+    # coordinate at its structure's universe[0]
+    keys = list(itertools.product(*(s.universe for s in core)))
+    class_of_key = {k: i for i, k in enumerate(keys)}
     reps: list[tuple] = []
-    class_index: dict[tuple, int] = {}
-    key_to_idx: dict[tuple, int] = {}
-    for p in points:
-        k = key(p)
-        if k not in key_to_idx:
-            key_to_idx[k] = len(reps)
-            reps.append(p)
-        class_index[p] = key_to_idx[k]
-
-    def coordwise(f: str, args: tuple[tuple, ...]) -> tuple:
-        return tuple(fam.structures[g].funcs[f][tuple(a[i] for a in args)] for i, g in enumerate(omega))
-
-    def pred_limsup(pname: str, args: tuple[tuple, ...]) -> Fraction:
-        vals = {g: fam.structures[g].preds[pname][tuple(a[i] for a in args)] for i, g in enumerate(omega)}
-        return limsup_ideal(ideal, vals)
-
+    for k in keys:
+        rep = [s.universe[0] for s in structs]
+        for i, a in zip(core_pos, k):
+            rep[i] = a
+        reps.append(tuple(rep))
     labels = _class_labels(reps)
     sig = fam.sig
 
+    def core_args(combo: tuple[int, ...], c: int) -> tuple:
+        return tuple(keys[i][c] for i in combo)
+
     dist: dict[tuple[Point, Point], Fraction] = {}
-    for i, x in enumerate(reps):
-        for j, y in enumerate(reps):
-            vals = {g: fam.structures[g].d(x[k], y[k]) for k, g in enumerate(omega)}
-            dist[(labels[i], labels[j])] = limsup_ideal(ideal, vals)
+    for i, x in enumerate(keys):
+        for j, y in enumerate(keys):
+            dist[(labels[i], labels[j])] = max(s.d(a, b) for s, a, b in zip(core, x, y))
 
     preds: dict[str, dict[tuple, Fraction]] = {}
     for p in sig.preds:
         table: dict[tuple, Fraction] = {}
-        for combo in itertools.product(range(len(reps)), repeat=p.arity):
-            table[tuple(labels[i] for i in combo)] = pred_limsup(p.name, tuple(reps[i] for i in combo))
+        for combo in itertools.product(range(len(keys)), repeat=p.arity):
+            table[tuple(labels[i] for i in combo)] = max(s.preds[p.name][core_args(combo, c)] for c, s in enumerate(core))
         preds[p.name] = table
 
     funcs: dict[str, dict[tuple, Point]] = {}
     for f in sig.funcs:
         table: dict[tuple, Point] = {}
-        for combo in itertools.product(range(len(reps)), repeat=f.arity):
-            image = coordwise(f.name, tuple(reps[i] for i in combo))
-            table[tuple(labels[i] for i in combo)] = labels[class_index[image]]
+        for combo in itertools.product(range(len(keys)), repeat=f.arity):
+            image = tuple(s.funcs[f.name][core_args(combo, c)] for c, s in enumerate(core))
+            table[tuple(labels[i] for i in combo)] = labels[class_of_key[image]]
         funcs[f.name] = table
 
-    consts = {name: labels[class_index[tuple(fam.structures[g].consts[name] for g in omega)]] for name in sig.consts}
+    consts = {name: labels[class_of_key[tuple(s.consts[name] for s in core)]] for name in sig.consts}
 
     induced = FiniteStructure(sig, labels, dist, preds, funcs, consts)
     v = validate(induced)
     if v is not None:
         raise RuntimeError(f"induced structure failed validation: {v.message}")
-
-    rp = ReducedProduct(fam, points, tuple(reps), labels, class_index, induced)
-    _check_function_welldef(rp, coordwise)
-    for p in points:
-        vals = {g: fam.structures[g].d(p[k], reps[class_index[p]][k]) for k, g in enumerate(omega)}
-        if limsup_ideal(ideal, vals) != 0:
-            raise RuntimeError("class member at positive distance from representative")
-    return rp
-
-
-def _check_function_welldef(rp: ReducedProduct, coordwise) -> None:
-    """Replacing arguments by class representatives must not move the
-    image class; exhaustive under the budget, seeded sample above it."""
-    points, reps, class_index = rp.points, rp.reps, rp.class_index
-    for f in rp.family.sig.funcs:
-        n_tuples = len(points) ** f.arity
-        if n_tuples <= _WELLDEF_BUDGET:
-            combos = itertools.product(points, repeat=f.arity)
-        else:
-            rng = random.Random(0)
-            combos = (
-                tuple(points[rng.randrange(len(points))] for _ in range(f.arity))
-                for _ in range(_WELLDEF_BUDGET)
-            )
-        for args in combos:
-            via_points = class_index[coordwise(f.name, args)]
-            via_reps = class_index[coordwise(f.name, tuple(reps[class_index[a]] for a in args))]
-            if via_points != via_reps:
-                raise RuntimeError(f"function {f.name} not well defined on classes at {args}")
+    return ReducedProduct(fam, ProductPoints(tuple(s.universe for s in structs)), tuple(reps), labels, core_pos, class_of_key, induced)
 
 
 def project(rp: ReducedProduct, point: Sequence) -> str:
@@ -177,7 +161,7 @@ def project(rp: ReducedProduct, point: Sequence) -> str:
     for g, a in zip(omega, point):
         if a not in rp.family.structures[g].universe:
             raise ValueError(f"coordinate {a!r} not in the universe at {g!r}")
-    return rp.labels[rp.class_index[point]]
+    return rp.label_of(point)
 
 
 def atomic_limsup_check(
@@ -284,7 +268,5 @@ def family_from_json(doc: Mapping, sig: Signature) -> Family:
 
 def reduced_product_to_json(rp: ReducedProduct) -> dict:
     doc = structure_to_json(rp.structure)
-    doc["class_map"] = {
-        "|".join(str(c) for c in p): rp.labels[rp.class_index[p]] for p in rp.points
-    }
+    doc["class_map"] = {"|".join(str(c) for c in p): rp.label_of(p) for p in rp.points}
     return doc

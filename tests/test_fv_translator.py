@@ -146,6 +146,24 @@ def test_memo_returns_same_object():
     assert translate(P_x, 1) is translate(P_x, 1)
 
 
+def test_memo_stays_under_its_cap_and_translations_stay_equal(monkeypatch):
+    # a miss that finds the memo full empties it first
+    work = [
+        (normalize_restricted(sent), n)
+        for n in range(3)
+        for sent in hc.battery(hc.BATTERY_SIG, 2).sentences
+        if hc._gated_cost(sent, n)[2]
+    ]
+    monkeypatch.setattr(fv, "_MEMO", {})
+    want = [translate(f, n) for f, n in work]
+    assert len(fv._MEMO) > 16
+    monkeypatch.setattr(fv, "_MEMO", {})
+    monkeypatch.setattr(fv, "_MEMO_CAP", 16)
+    for (f, n), ds in zip(work, want):
+        assert translate(f, n) == ds
+        assert len(fv._MEMO) <= 16
+
+
 def test_translate_rejects_derived_and_bad_precision():
     with pytest.raises(ValueError):
         translate(Min(P_x, Q_x), 1)

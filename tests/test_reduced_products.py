@@ -1,12 +1,19 @@
 import itertools
+import json
+import math
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import Mapping, Sequence
 
 import pytest
 
+from fvlogic import harness_cli as hc
 from fvlogic import reduced_products as rp
 from fvlogic.boolean_ideals import close_ideal, limsup_ideal, principal_max_ideal, trivial_ideal
-from fvlogic.structures import FiniteStructure, from_json, random_structure, to_json, validate
+from fvlogic.reduced_products import MAX_PRODUCT_POINTS, Family
+from fvlogic.structures import MAX_UNIVERSE, FiniteStructure, Point, from_json, random_structure, to_json, validate
 from fvlogic.syntax import FuncSym, PredSym, Signature, parse
 
 SIG = Signature(preds=(PredSym("P", 1, Fraction(3, 2)),))
@@ -117,6 +124,22 @@ def test_point_cap_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr(rp, "itertools", SimpleNamespace(product=enumerate_points))
     with pytest.raises(ValueError, match=f"product would have 7776 points, cap is {rp.MAX_PRODUCT_POINTS}"):
         rp.reduced_product(fam)
+
+
+def test_points_are_a_lazy_product_view(monkeypatch):
+    # 3 x 4 x 5 x 6 = 360 points over a core of one, 3 classes
+    ideal = principal_max_ideal((1, 2, 3, 4), 1)
+    structs = {g: random_structure(UNARY, g + 2, seed=g) for g in ideal.omega}
+    R = rp.reduced_product(rp.Family(ideal, structs))
+
+    def enumerate_points(*_):
+        raise AssertionError("points were enumerated")
+
+    with monkeypatch.context() as m:
+        m.setattr(rp, "itertools", SimpleNamespace(product=enumerate_points))
+        assert len(R.points) == 360
+    assert list(R.points) == list(itertools.product(*(structs[g].universe for g in ideal.omega)))
+    assert list(R.points) == list(R.points)
 
 
 def test_functions_and_constants_coordinatewise():
@@ -269,3 +292,191 @@ def test_reduced_product_json_has_class_map():
     assert set(doc["universe"]) == set(R.labels)
     back = from_json({k: v for k, v in doc.items() if k != "class_map"}, SIG)
     assert validate(back) is None
+
+
+# --------------------------------------------------------------------------
+# differential test against the enumerating construction
+#
+# The reference enumerates every product point, keys each on its core
+# coordinates, reads every table through limsup_ideal over whole product
+# tuples, and checks two things the core construction takes as given: that
+# functions are well defined on classes, and that every class member lies
+# at distance 0 from its representative. Both checks raise when they fail,
+# so running the reference is itself an oracle.
+
+_WELLDEF_BUDGET = 4096
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceProduct:
+    family: Family
+    points: tuple[tuple, ...]
+    reps: tuple[tuple, ...]
+    labels: tuple[str, ...]
+    class_index: Mapping[tuple, int]
+    structure: FiniteStructure
+
+
+def _class_labels(reps: Sequence[tuple]) -> tuple[str, ...]:
+    joined = ["|".join(str(c) for c in r) for r in reps]
+    if len(set(joined)) == len(joined):
+        return tuple(joined)
+    return tuple(f"{j}#{i}" for i, j in enumerate(joined))
+
+
+def reference_reduced_product(fam: Family) -> ReferenceProduct:
+    """Enumerate all product points, partition them, and build the
+    induced structure; limsup interpretations are exact rationals."""
+    ideal = fam.ideal
+    omega = ideal.omega
+    total = math.prod(len(fam.structures[g].universe) for g in omega)
+    if total > MAX_PRODUCT_POINTS:
+        raise ValueError(f"product would have {total} points, cap is {MAX_PRODUCT_POINTS}")
+    classes = math.prod(len(fam.structures[g].universe) for g in ideal.core)
+    if classes > MAX_UNIVERSE:
+        raise ValueError(f"reduced product would have {classes} classes, at most {MAX_UNIVERSE} are supported")
+
+    universes = [fam.structures[g].universe for g in omega]
+    points = tuple(itertools.product(*universes))
+    core_pos = [i for i, g in enumerate(omega) if g in set(ideal.core)]
+
+    def key(p: tuple) -> tuple:
+        return tuple(p[i] for i in core_pos)
+
+    reps: list[tuple] = []
+    class_index: dict[tuple, int] = {}
+    key_to_idx: dict[tuple, int] = {}
+    for p in points:
+        k = key(p)
+        if k not in key_to_idx:
+            key_to_idx[k] = len(reps)
+            reps.append(p)
+        class_index[p] = key_to_idx[k]
+
+    def coordwise(f: str, args: tuple[tuple, ...]) -> tuple:
+        return tuple(fam.structures[g].funcs[f][tuple(a[i] for a in args)] for i, g in enumerate(omega))
+
+    def pred_limsup(pname: str, args: tuple[tuple, ...]) -> Fraction:
+        vals = {g: fam.structures[g].preds[pname][tuple(a[i] for a in args)] for i, g in enumerate(omega)}
+        return limsup_ideal(ideal, vals)
+
+    labels = _class_labels(reps)
+    sig = fam.sig
+
+    dist: dict[tuple[Point, Point], Fraction] = {}
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            vals = {g: fam.structures[g].d(x[k], y[k]) for k, g in enumerate(omega)}
+            dist[(labels[i], labels[j])] = limsup_ideal(ideal, vals)
+
+    preds: dict[str, dict[tuple, Fraction]] = {}
+    for p in sig.preds:
+        table: dict[tuple, Fraction] = {}
+        for combo in itertools.product(range(len(reps)), repeat=p.arity):
+            table[tuple(labels[i] for i in combo)] = pred_limsup(p.name, tuple(reps[i] for i in combo))
+        preds[p.name] = table
+
+    funcs: dict[str, dict[tuple, Point]] = {}
+    for f in sig.funcs:
+        table: dict[tuple, Point] = {}
+        for combo in itertools.product(range(len(reps)), repeat=f.arity):
+            image = coordwise(f.name, tuple(reps[i] for i in combo))
+            table[tuple(labels[i] for i in combo)] = labels[class_index[image]]
+        funcs[f.name] = table
+
+    consts = {name: labels[class_index[tuple(fam.structures[g].consts[name] for g in omega)]] for name in sig.consts}
+
+    induced = FiniteStructure(sig, labels, dist, preds, funcs, consts)
+    v = validate(induced)
+    if v is not None:
+        raise RuntimeError(f"induced structure failed validation: {v.message}")
+
+    rp = ReferenceProduct(fam, points, tuple(reps), labels, class_index, induced)
+    _check_function_welldef(rp, coordwise)
+    for p in points:
+        vals = {g: fam.structures[g].d(p[k], reps[class_index[p]][k]) for k, g in enumerate(omega)}
+        if limsup_ideal(ideal, vals) != 0:
+            raise RuntimeError("class member at positive distance from representative")
+    return rp
+
+
+def _check_function_welldef(rp: ReferenceProduct, coordwise) -> None:
+    """Replacing arguments by class representatives must not move the
+    image class; exhaustive under the budget, seeded sample above it."""
+    points, reps, class_index = rp.points, rp.reps, rp.class_index
+    for f in rp.family.sig.funcs:
+        n_tuples = len(points) ** f.arity
+        if n_tuples <= _WELLDEF_BUDGET:
+            combos = itertools.product(points, repeat=f.arity)
+        else:
+            rng = random.Random(0)
+            combos = (
+                tuple(points[rng.randrange(len(points))] for _ in range(f.arity))
+                for _ in range(_WELLDEF_BUDGET)
+            )
+        for args in combos:
+            via_points = class_index[coordwise(f.name, args)]
+            via_reps = class_index[coordwise(f.name, tuple(reps[class_index[a]] for a in args))]
+            if via_points != via_reps:
+                raise RuntimeError(f"function {f.name} not well defined on classes at {args}")
+
+
+def reference_project(rp: ReferenceProduct, point: Sequence) -> str:
+    """Quotient map: the induced-universe label of the point's class."""
+    omega = rp.family.ideal.omega
+    point = tuple(point)
+    if len(point) != len(omega):
+        raise ValueError(f"point has {len(point)} coordinates, expected {len(omega)}")
+    for g, a in zip(omega, point):
+        if a not in rp.family.structures[g].universe:
+            raise ValueError(f"coordinate {a!r} not in the universe at {g!r}")
+    return rp.labels[rp.class_index[point]]
+
+
+def reference_reduced_product_to_json(rp: ReferenceProduct) -> dict:
+    doc = to_json(rp.structure)
+    doc["class_map"] = {
+        "|".join(str(c) for c in p): rp.labels[rp.class_index[p]] for p in rp.points
+    }
+    return doc
+
+
+def reversed_universe(A: FiniteStructure) -> FiniteStructure:
+    """A with its universe listed backwards, so universe[0] changes."""
+    return FiniteStructure(A.sig, A.universe[::-1], A.dist, A.preds, A.funcs, A.consts)
+
+
+def assert_matches_reference(fam: rp.Family) -> None:
+    R, ref = rp.reduced_product(fam), reference_reduced_product(fam)
+    assert R.reps == ref.reps
+    assert R.labels == ref.labels
+    S, T = R.structure, ref.structure
+    assert S.universe == T.universe
+    assert list(S.dist.items()) == list(T.dist.items())
+    assert S.preds == T.preds and S.funcs == T.funcs and S.consts == T.consts
+    assert len(R.points) == len(ref.points)
+    assert [rp.project(R, p) for p in ref.points] == [reference_project(ref, p) for p in ref.points]
+    assert json.dumps(rp.reduced_product_to_json(R)) == json.dumps(reference_reduced_product_to_json(ref))
+
+
+@pytest.mark.parametrize("sig", [hc.BATTERY_SIG, hc.UNARY_SIG], ids=["battery", "unary"])
+def test_matches_reference_on_random_families(sig):
+    rng = random.Random(12)
+    for _ in range(160):
+        assert_matches_reference(hc.random_family(sig, rng))
+
+
+# (structure size, coordinates, core size), as the reduced-power benchmark
+# builds them: up to 4,096 points and 16 classes
+POWER_SHAPES = ((4, 6, 2), (2, 6, 4), (3, 6, 2), (2, 5, 3), (6, 4, 1), (16, 3, 1))
+
+
+@pytest.mark.parametrize("sig", [hc.BATTERY_SIG, hc.UNARY_SIG], ids=["battery", "unary"])
+def test_matches_reference_on_reduced_powers(sig):
+    rng = random.Random(13)
+    for size, k, core in POWER_SHAPES:
+        omega = tuple(range(1, k + 1))
+        ideal = close_ideal(omega, [rng.sample(omega, k - core)])
+        A = random_structure(sig, size, rng.randrange(2**30))
+        for B in (A, reversed_universe(A)):
+            assert_matches_reference(rp.Family(ideal, {g: B for g in omega}))
