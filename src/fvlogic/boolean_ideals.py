@@ -247,10 +247,13 @@ class GuardedExists:
     largest first and below the caps their one-variable bounds set,
     reading the body with the variables not yet chosen at their caps: as
     the body is monotone in them, a false reading prunes the candidate and
-    every class below it. Body values are memoized per evaluation session,
-    keyed on the body's free variables. A block whose body
-    `proves_monotone` cannot vouch for, or whose bounds mention its own
-    variables, compiles as its raw expansion.
+    every class below it. The searched block's verdict is memoized per
+    evaluation session, keyed on the block's free variables, and so are its
+    body's values, keyed on the body's free variables; a key wider than 16
+    bits leaves the verdict unmemoized and the body values memoized for one
+    run of the block only. A block whose body `proves_monotone` cannot
+    vouch for, or whose bounds mention its own variables, compiles as its
+    raw expansion.
     """
 
     zvars: tuple[str, ...]
@@ -460,15 +463,17 @@ class _Program:
     """A Boolean formula compiled, once, for a core of k atoms.
 
     `run(env)` evaluates it on an env list from `session()`: env[0] holds
-    one evaluation session's guarded-body memos and env[1:] the variables'
-    class masks, one slot per name (`slots`). Structurally equal nodes
-    compile to one shared closure, and guarded blocks to one memo."""
+    one evaluation session's memos, a verdict memo and a body memo per
+    searched guarded block whose keys fit in 16 bits (a wider body key gets
+    a dict per run of the block), and env[1:] the variables' class masks,
+    one slot per name (`slots`). Structurally equal nodes compile to one
+    shared closure, and guarded blocks to one pair of memos."""
 
     def __init__(self, f: BooleanFormula, k: int) -> None:
         self.k, self.one = k, (1 << k) - 1
         self.slots: dict[str, int] = {}
         self.done: dict[BNode, Callable] = {}
-        self.memos = 0
+        self.memos: list[bool] = []  # per env[0] slot: True for a block verdict memo
         self.names = free_bvars(f)
         self.free = [self.slot(v) for v in self.names]
         self.run = self.compile(f)
@@ -485,9 +490,10 @@ class _Program:
         return fn
 
     def session(self, dense: bool = False) -> list:
-        """A fresh env for one top-level evaluation; its body memos are dicts,
-        or in a session of many evaluations (dense) bytearrays made on use."""
-        return [[None if dense else defaultdict(int) for _ in range(self.memos)]] + [0] * len(self.slots)
+        """A fresh env for a session of evaluations. Its memos are bytearrays
+        made on use, save that in a session for one evaluation (not dense)
+        the body memos are dicts, which cost less to make."""
+        return [[None if dense or verdict else defaultdict(int) for verdict in self.memos]] + [0] * len(self.slots)
 
     def sat(self, B: QuotientBA, assignment: Mapping[str, frozenset]) -> bool:
         """The formula on an assignment of classes of B, in a fresh session."""
@@ -511,8 +517,9 @@ def _split(g: GuardedExists, d: BooleanFormula) -> BooleanFormula:
 
 def _guarded(c: _Program, g: GuardedExists) -> Callable:
     """A guarded block compiled (see GuardedExists): split at an `or` body,
-    each part compiled here again, else the pruned witness search, or the
-    raw expansion where the bounds mention z or pruning is not provably sound."""
+    each part compiled here again, else the pruned witness search behind a
+    verdict memo, or the raw expansion where the bounds mention z or pruning
+    is not provably sound."""
     zset = set(g.zvars)
     own = any(zset.intersection(free_bvars(t)) for _, t in g.bounds)
     if isinstance(g.body, BOr) and not own:
@@ -534,10 +541,10 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
     body = c.compile(g.body)
     keys = [c.slot(v) for v in free_bvars(g.body)]
     small = k * len(keys) <= 16  # a bytearray memo of at most 64 KiB
-    memo_at = c.memos
-    c.memos += small
+    memo_at = len(c.memos)
+    c.memos += [False] * small
 
-    def run(env) -> bool:
+    def search(env) -> bool:
         bvals = [t(env) for t in terms]
 
         def forbidden(i: int) -> int:
@@ -595,6 +602,25 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
             env[s] = v
         return out
 
+    # the verdict depends on the block's free variables alone
+    vkeys = [c.slot(v) for v in free_bvars(g)]
+    if k * len(vkeys) > 16:
+        return search
+    verdict_at = len(c.memos)
+    c.memos.append(True)
+
+    def run(env) -> bool:
+        key = 0
+        for s in vkeys:
+            key = key << k | env[s]
+        memo = env[0][verdict_at]
+        if memo is None:
+            memo = env[0][verdict_at] = bytearray(1 << k * len(vkeys))
+        v = memo[key]
+        if not v:
+            v = memo[key] = 2 if search(env) else 1
+        return v == 2
+
     return run
 
 
@@ -622,11 +648,13 @@ def is_monotone(
 ) -> bool:
     """True iff satisfaction is preserved under pointwise class increase.
 
-    Exhaustive over all assignments of the occurring variables when
-    there are at most `exhaustive_vars` of them (covering relations step
-    one atom at a time, which suffices in a finite Boolean algebra);
-    otherwise 1,000 seeded random comparable pairs. f is compiled once
-    and all its evaluations share one session of guarded-body memos."""
+    Exhaustive over all assignments of the v occurring variables when
+    v <= `exhaustive_vars` and the truth table has at most 2^18 entries,
+    k * v <= 18 on a core of k atoms (covering relations step one atom at a
+    time, which suffices in a finite Boolean algebra); otherwise 1,000
+    seeded random comparable pairs. f is compiled once and all its
+    evaluations share one session, so its guarded blocks' verdicts and
+    body values are memoized across them (see GuardedExists)."""
     names = free_bvars(f)
     if not names:
         return True
@@ -639,7 +667,7 @@ def is_monotone(
             env[s] = x
         return prog.run(env)
 
-    if len(names) <= exhaustive_vars:
+    if len(names) <= exhaustive_vars and k * len(names) <= 18:
         # entry idx packs the variables' masks, k bits each
         truth = bytearray(map(sat, itertools.product(range(prog.one + 1), repeat=len(names))))
         return not any(

@@ -374,6 +374,22 @@ GUARDED_SHAPES = [
         ((("z1",), BVar("z2")), (("z2",), BVar("y1"))),
         BOr((NotZero(BMeet(BVar("z1"), BVar("y2"))), NotZero(BMeet(BVar("z2"), BVar("y3"))))),
     ),
+    # a bound term that reads y2, which the body does not: the verdict memo
+    # must key on y2 (true iff y1 and y2 meet)
+    GuardedExists(("z1",), ((("z1",), BVar("y2")),), NotZero(BMeet(BVar("z1"), BVar("y1")))),
+    # a block under an exists whose variable x only its bound reads: the
+    # verdict memo must key on x (true iff y1 and y2 meet)
+    BExists("x", GuardedExists(("z",), ((("z",), BMeet(BVar("x"), BVar("y1"))),), NotZero(BMeet(BVar("z"), BVar("y2"))))),
+    # the same under a forall (true iff y1 is the top class)
+    BForall("x", BImp(NotZero(BVar("x")), GuardedExists(("z",), ((("z",), BVar("x")),), NotZero(BMeet(BVar("z"), BVar("y1")))))),
+    # two blocks over the same free variables with different verdicts: each
+    # keeps its own verdict memo
+    BAnd(
+        (
+            GuardedExists(("z",), ((("z",), BVar("y1")),), NotZero(BMeet(BVar("z"), BVar("y2")))),
+            GuardedExists(("z",), ((("z",), BVar("y1")),), NotZero(BMeet(BVar("z"), BCompl(BVar("y2"))))),
+        )
+    ),
 ]
 
 
@@ -385,10 +401,11 @@ def test_guarded_matches_raw_expansion(g):
         quotient(trivial_ideal((1,))),
     ]
     names = free_bvars(g)
-    raw = g.expand_raw()
+    raw = expand_guarded(g)
     for B in algebras:
         # one session for every assignment, as is_monotone runs them: the
-        # body memo must key on every free variable of the body
+        # verdict and body memos must key on every free variable of the
+        # block and of the body
         prog = bi._Program(g, len(B.core))
         session = prog.session(dense=True)
         for combo in itertools.product(B.elements, repeat=len(names)):
@@ -743,6 +760,42 @@ def test_sampled_pairs_match_reference(monkeypatch):
             seen = _Recorder.last.seen
             want = reference_pairs(names, _Recorder.last, k, seed)
             assert list(zip(seen[0::2], seen[1::2])) == want, (k, count)
+
+
+class _Budget(bi._Program):
+    """A program that holds everywhere, counts its evaluations and raises
+    past `limit` of them, so a route that would build a huge truth table
+    fails at once instead of allocating it."""
+
+    limit = 5_000
+
+    def __init__(self, f, k):
+        super().__init__(f, k)
+        self.count = 0
+        _Budget.last = self
+
+        def run(env):
+            self.count += 1
+            if self.count > self.limit:
+                raise RuntimeError(f"more than {self.limit} evaluations")
+            return True
+
+        self.run = run
+
+
+@pytest.mark.parametrize(
+    "k, v, exhaustive",
+    [(6, 6, False), (5, 4, False), (4, 5, False), (3, 6, True), (6, 3, True), (2, 6, True)],
+)
+def test_exhaustive_route_is_bounded_by_table_size(monkeypatch, k, v, exhaustive):
+    # exhaustive iff k * v <= 18: every case here has v <= exhaustive_vars
+    monkeypatch.setattr(bi, "_Program", _Budget)
+    if exhaustive:
+        monkeypatch.setattr(_Budget, "limit", 1 << 18)
+    B = quotient(trivial_ideal(tuple(range(k))))
+    f = BAnd(tuple(NotZero(BVar(f"y{i}")) for i in range(v)))
+    assert is_monotone(f, B)
+    assert _Budget.last.count == (1 << k * v if exhaustive else 2_000)
 
 
 # --------------------------------------------------------------------------
