@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import itemgetter
@@ -249,11 +248,10 @@ class GuardedExists:
     the body is monotone in them, a false reading prunes the candidate and
     every class below it. The searched block's verdict is memoized per
     evaluation session, keyed on the block's free variables, and so are its
-    body's values, keyed on the body's free variables; a key wider than 16
-    bits leaves the verdict unmemoized and the body values memoized for one
-    run of the block only. A block whose body `proves_monotone` cannot
-    vouch for, or whose bounds mention its own variables, compiles as its
-    raw expansion.
+    body's values, keyed on the body's free variables: each memo is a dict
+    made on first use in the session, at every key width. A block whose
+    body `proves_monotone` cannot vouch for, or whose bounds mention its
+    own variables, compiles as its raw expansion.
     """
 
     zvars: tuple[str, ...]
@@ -463,17 +461,17 @@ class _Program:
     """A Boolean formula compiled, once, for a core of k atoms.
 
     `run(env)` evaluates it on an env list from `session()`: env[0] holds
-    one evaluation session's memos, a verdict memo and a body memo per
-    searched guarded block whose keys fit in 16 bits (a wider body key gets
-    a dict per run of the block), and env[1:] the variables' class masks,
-    one slot per name (`slots`). Structurally equal nodes compile to one
-    shared closure, and guarded blocks to one pair of memos."""
+    one evaluation session's memos, a verdict dict and a body dict per
+    searched guarded block, made on first use at every key width, and
+    env[1:] the variables' class masks, one slot per name (`slots`).
+    Structurally equal nodes compile to one shared closure, and guarded
+    blocks to one pair of memos."""
 
     def __init__(self, f: BooleanFormula, k: int) -> None:
         self.k, self.one = k, (1 << k) - 1
         self.slots: dict[str, int] = {}
         self.done: dict[BNode, Callable] = {}
-        self.memos: list[bool] = []  # per env[0] slot: True for a block verdict memo
+        self.memos = 0  # env[0] slots: two per searched guarded block
         self.names = free_bvars(f)
         self.free = [self.slot(v) for v in self.names]
         self.run = self.compile(f)
@@ -489,11 +487,9 @@ class _Program:
             fn = self.done[g] = _node(g)[2](self, g, *map(self.compile, _children(g)))
         return fn
 
-    def session(self, dense: bool = False) -> list:
-        """A fresh env for a session of evaluations. Its memos are bytearrays
-        made on use, save that in a session for one evaluation (not dense)
-        the body memos are dicts, which cost less to make."""
-        return [[None if dense or verdict else defaultdict(int) for verdict in self.memos]] + [0] * len(self.slots)
+    def session(self) -> list:
+        """A fresh env for one session, whose memos are dicts made on use."""
+        return [[None] * self.memos] + [0] * len(self.slots)
 
     def sat(self, B: QuotientBA, assignment: Mapping[str, frozenset]) -> bool:
         """The formula on an assignment of classes of B, in a fresh session."""
@@ -540,9 +536,10 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
         activated[i].append((tuple(ms.difference(zs[i : i + 1])), bi))
     body = c.compile(g.body)
     keys = [c.slot(v) for v in free_bvars(g.body)]
-    small = k * len(keys) <= 16  # a bytearray memo of at most 64 KiB
-    memo_at = len(c.memos)
-    c.memos += [False] * small
+    # the verdict depends on the block's free variables alone
+    vkeys = [c.slot(v) for v in free_bvars(g)]
+    body_at, verdict_at = c.memos, c.memos + 1
+    c.memos += 2
 
     def search(env) -> bool:
         bvals = [t(env) for t in terms]
@@ -561,18 +558,16 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
             return False
         # each z variable's cap: the meet of its bounds on it alone
         caps = [functools.reduce(int.__and__, (bvals[bi] for o, bi in act if not o), one) for act in activated[:m]]
-        memo = env[0][memo_at] if small else defaultdict(int)
-        if memo is None:
-            memo = env[0][memo_at] = bytearray(1 << k * len(keys))
+        values = env[0][body_at]
 
         def body_now() -> bool:
             key = 0
             for s in keys:
                 key = key << k | env[s]
-            v = memo[key]
-            if not v:
-                v = memo[key] = 2 if body(env) else 1
-            return v == 2
+            v = values.get(key)
+            if v is None:
+                v = values[key] = body(env)
+            return v
 
         def dfs(i: int) -> bool:
             if i == m:
@@ -602,24 +597,18 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
             env[s] = v
         return out
 
-    # the verdict depends on the block's free variables alone
-    vkeys = [c.slot(v) for v in free_bvars(g)]
-    if k * len(vkeys) > 16:
-        return search
-    verdict_at = len(c.memos)
-    c.memos.append(True)
-
     def run(env) -> bool:
         key = 0
         for s in vkeys:
             key = key << k | env[s]
-        memo = env[0][verdict_at]
-        if memo is None:
-            memo = env[0][verdict_at] = bytearray(1 << k * len(vkeys))
-        v = memo[key]
-        if not v:
-            v = memo[key] = 2 if search(env) else 1
-        return v == 2
+        memos = env[0]
+        if memos[verdict_at] is None:  # the block's first run in this session
+            memos[verdict_at], memos[body_at] = {}, {}
+        verdicts = memos[verdict_at]
+        v = verdicts.get(key)
+        if v is None:
+            v = verdicts[key] = search(env)
+        return v
 
     return run
 
@@ -652,15 +641,14 @@ def is_monotone(
     v <= `exhaustive_vars` and the truth table has at most 2^18 entries,
     k * v <= 18 on a core of k atoms (covering relations step one atom at a
     time, which suffices in a finite Boolean algebra); otherwise 1,000
-    seeded random comparable pairs. f is compiled once and all its
-    evaluations share one session, so its guarded blocks' verdicts and
-    body values are memoized across them (see GuardedExists)."""
+    seeded random comparable pairs. f is compiled once; its evaluations
+    share one session and its guarded memos, dicts at every key width."""
     names = free_bvars(f)
     if not names:
         return True
     k = len(B.core)
     prog = _Program(f, k)
-    env = prog.session(dense=True)
+    env = prog.session()
 
     def sat(masks: Iterable[int]) -> bool:
         for s, x in zip(prog.free, masks):

@@ -318,6 +318,8 @@ def translation_cost(f: Formula, n: int) -> tuple[int, int]:
     """(number of subformulas, widest guarded block) of translate(f, n)
     without building it, each capped at COST_BOUND; below the bound the
     first component matches len(psis) exactly."""
+    if n < 0:
+        raise ValueError("precision must be nonnegative")
     return _cost(normalize_restricted(f), n)
 
 

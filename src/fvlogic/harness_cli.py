@@ -189,8 +189,8 @@ def battery(sig: Signature, depth: int, caps: ResourceCaps = CAPS) -> Battery:
     sentences such as Sup(x, P(x)), Half(P(c)) and Monus(P(c), One)
     always appear.
     """
-    if depth > caps.battery_depth:
-        raise ValueError(f"battery depth {depth} exceeds the cap {caps.battery_depth}")
+    if not 0 <= depth <= caps.battery_depth:
+        raise ValueError(f"battery depth {depth} is outside 0..{caps.battery_depth}")
 
     pool = _head_and_stride(_battery_atoms(sig), caps.battery_per_depth, caps.battery_keep_first)
     layers: list[list[Formula]] = [pool]

@@ -407,7 +407,7 @@ def test_guarded_matches_raw_expansion(g):
         # verdict and body memos must key on every free variable of the
         # block and of the body
         prog = bi._Program(g, len(B.core))
-        session = prog.session(dense=True)
+        session = prog.session()
         for combo in itertools.product(B.elements, repeat=len(names)):
             env = dict(zip(names, combo))
             want = reference_ba_eval(B, raw, env)
@@ -456,7 +456,7 @@ def test_guarded_property_matches_raw_expansion(g):
     raw = g.expand_raw()
     for B in (quotient(trivial_ideal((1,))), quotient(trivial_ideal((1, 2)))):
         prog = bi._Program(g, len(B.core))
-        session = prog.session(dense=True)
+        session = prog.session()
         for combo in itertools.product(B.elements, repeat=len(names)):
             env = dict(zip(names, combo))
             want = reference_ba_eval(B, raw, env)
@@ -697,6 +697,39 @@ def test_compiled_ba_eval_matches_reference_on_battery_sigmas():
                 assert ba_eval(B, s, env) == reference_ba_eval(B, s, env), (size, to_prefix(s), env)
                 checked += 1
     assert checked > 25_000
+
+
+def test_wide_guarded_block_memoizes_across_a_session():
+    # on 3 atoms the block's six free variables key its verdict on 18 bits
+    # and its body's six on 18 bits: every memo lives for the whole session
+    y1, y2, y3, y4, y5, y6, z1, z2 = map(BVar, ("y1", "y2", "y3", "y4", "y5", "y6", "z1", "z2"))
+    g = GuardedExists(
+        ("z1", "z2"),
+        ((("z1",), BJoin(y1, y2)), (("z2",), BJoin(y3, y4)), (("z1", "z2"), BCompl(y5))),
+        BAnd((NotZero(BMeet(z1, y6)), NotZero(BMeet(z2, BCompl(y1))), TermLe(y5, BJoin(BJoin(z1, z2), y3)))),
+    )
+    B = quotient(trivial_ideal((1, 2, 3)))
+    names = free_bvars(g)
+    assert 3 * len(names) > 16 and 3 * len(free_bvars(g.body)) > 16
+    prog = bi._Program(g, 3)
+    assert prog.memos == 2  # one searched block: a verdict memo and a body memo
+    session = prog.session()
+    raw = expand_guarded(g)
+    rng = random.Random(7)
+    verdicts = []
+    # each base assignment, then each variable swept through every class
+    # with the others fixed, so a key that drops a variable mixes verdicts
+    for _ in range(5):
+        base = [rng.choice(B.elements) for _ in names]
+        for i, X in itertools.product(range(len(names)), B.elements):
+            combo = base[:i] + [X] + base[i + 1 :]
+            for s, Y in zip(prog.free, combo):
+                session[s] = B.masks[Y]
+            want = reference_ba_eval(B, raw, dict(zip(names, combo)))
+            assert prog.run(session) == want, combo
+            verdicts.append(want)
+    assert len(verdicts) >= 200 and len(set(verdicts)) == 2
+    assert all(memo for memo in session[0])
 
 
 # --------------------------------------------------------------------------

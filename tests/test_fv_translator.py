@@ -169,6 +169,8 @@ def test_translate_rejects_derived_and_bad_precision():
         translate(Min(P_x, Q_x), 1)
     with pytest.raises(ValueError):
         translate(P_x, -1)
+    with pytest.raises(ValueError, match="precision must be nonnegative"):
+        translation_cost(Sup("x", P_x), -1)
 
 
 # --------------------------------------------------------------------------

@@ -60,6 +60,14 @@ def test_battery_depth_enforced_before_construction():
         hc.battery(hc.BATTERY_SIG, CAPS.battery_depth + 1, CAPS)
     with pytest.raises(ValueError):
         hc.battery(hc.BATTERY_SIG, 5, CAPS)
+    with pytest.raises(ValueError):
+        hc.battery(hc.BATTERY_SIG, -1, CAPS)
+
+
+def test_cli_check_refuses_a_negative_depth_in_one_line(capsys):
+    assert hc.cli(["check", "--suite", "fv", "--depth", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [f"error: battery depth -1 is outside 0..{CAPS.battery_depth}"]
 
 
 def test_suite_fv_precision_cap():
