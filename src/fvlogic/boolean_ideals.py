@@ -2,12 +2,12 @@
 limsup along an ideal, Fubini products, and first-order satisfaction.
 
 On a finite ground set every ideal is the power set of S* (the union of
-its members), so an ideal is stored as S* alone and quotient classes are
-canonically represented by their intersection with the core Omega minus
-S*. Boolean formulas follow the y[j][i] / z[k][i] variable convention
-used by the translator; the GuardedExists node is the translator's
-bounded existential block, with a monotonicity-based search fast path
-and an equivalent raw expansion.
+its members), so an ideal is stored as S* alone and a quotient class,
+the intersection of a set with the core Omega minus S*, is an int mask
+over the core. Boolean formulas follow the y[j][i] / z[k][i] variable
+convention used by the translator; the GuardedExists node is the
+translator's bounded existential block, with a monotonicity-based search
+fast path and an equivalent raw expansion.
 """
 from __future__ import annotations
 
@@ -100,38 +100,38 @@ def ideal_from_json(doc: Mapping) -> IdealSpec:
 
 @dataclass(frozen=True, eq=False)
 class QuotientBA:
-    """P(Omega)/I with classes represented by subsets of the core.
+    """P(Omega)/I with each class an int mask over the core.
 
     X ~ Y iff their symmetric difference lies in the ideal, which on a
     finite ground set means X and Y agree off S*; so intersection with
-    the core is a complete invariant and `elements` lists each class
-    exactly once, in bitmask order: `elements[m]` holds core[i] iff bit
-    i of m is set, and `masks` maps each class back to m.
+    the core is a complete invariant, and `mask(X)` is the class of X:
+    bit i is set iff core[i] is in X. `elements` lists every class as a
+    frozenset of core labels, in mask order, and is built on first read.
     """
 
     ideal: IdealSpec
     core: tuple[Label, ...] = field(init=False)
-    elements: tuple[frozenset, ...] = field(init=False)
-    masks: Mapping[frozenset, int] = field(init=False)
-    zero: frozenset = field(init=False)
-    one: frozenset = field(init=False)
+    bits: Mapping[Label, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         core = self.ideal.core
         object.__setattr__(self, "core", core)
-        elems = []
-        for mask in range(1 << len(core)):
-            elems.append(frozenset(core[i] for i in range(len(core)) if mask >> i & 1))
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "masks", {e: m for m, e in enumerate(elems)})
-        object.__setattr__(self, "zero", frozenset())
-        object.__setattr__(self, "one", frozenset(core))
+        # each label's bit in a class mask; an S* label has none
+        object.__setattr__(self, "bits", dict.fromkeys(self.ideal.omega, 0) | {g: 1 << i for i, g in enumerate(core)})
 
-    def class_of(self, X: Iterable[Label]) -> frozenset:
-        X = set(X)
-        if not X <= set(self.ideal.omega):
-            raise ValueError(f"{X} is not a subset of the ground set")
-        return frozenset(x for x in self.core if x in X)
+    def mask(self, X: Iterable[Label]) -> int:
+        """The class of X; a label outside Omega raises ValueError."""
+        out = 0
+        for x in X:
+            if x not in self.bits:
+                raise ValueError(f"{x!r} is not in the ground set")
+            out |= self.bits[x]
+        return out
+
+    @functools.cached_property
+    def elements(self) -> tuple[frozenset, ...]:
+        core = self.core
+        return tuple(frozenset(g for i, g in enumerate(core) if m >> i & 1) for m in range(1 << len(core)))
 
 
 def quotient(ideal: IdealSpec) -> QuotientBA:
@@ -491,14 +491,14 @@ class _Program:
         """A fresh env for one session, whose memos are dicts made on use."""
         return [[None] * self.memos] + [0] * len(self.slots)
 
-    def sat(self, B: QuotientBA, assignment: Mapping[str, frozenset]) -> bool:
-        """The formula on an assignment of classes of B, in a fresh session."""
+    def sat(self, assignment: Mapping[str, int]) -> bool:
+        """The formula on an assignment of class masks, in a fresh session."""
         env = self.session()
         try:
             for name, s in zip(self.names, self.free):
-                env[s] = B.masks[assignment[name]]
+                env[s] = assignment[name]
         except KeyError:
-            raise ValueError(f"Boolean variable {name!r} is unbound or not assigned a class of B") from None
+            raise ValueError(f"Boolean variable {name!r} is unbound") from None
         return self.run(env)
 
 
@@ -616,13 +616,15 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
 _program = functools.lru_cache(maxsize=64)(_Program)
 
 
-def ba_eval(B: QuotientBA, f: BooleanFormula, assignment: Mapping[str, frozenset]) -> bool:
+def ba_eval(B: QuotientBA, f: BooleanFormula, assignment: Mapping[str, Iterable[Label]]) -> bool:
     """Tarskian satisfaction in B; quantifiers range over all classes.
 
-    f is compiled once per core size (a bounded cache keyed on f and the
-    core size) into closures over class bitmasks; the assignment's classes
-    are converted at the boundary (see GuardedExists for guarded blocks)."""
-    return _program(f, len(B.core)).sat(B, assignment)
+    Each assigned set of labels of Omega is read as its class, `B.mask`,
+    so a set with S* labels in it reads as its part in the core. f is
+    compiled once per core size (a bounded cache keyed on f and the core
+    size) into closures over class masks (see GuardedExists for guarded
+    blocks)."""
+    return _program(f, len(B.core)).sat({name: B.mask(X) for name, X in assignment.items()})
 
 
 # --------------------------------------------------------------------------

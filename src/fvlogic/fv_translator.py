@@ -368,19 +368,13 @@ class FVBounds:
     cert_upper: Fraction
 
 
-def _profile_env(B: QuotientBA, sets_by_block: Sequence[Sequence[frozenset]]) -> dict[str, frozenset]:
-    env = {}
-    for j, row in enumerate(sets_by_block):
-        for i, X in enumerate(row):
-            env[yname(j, i)] = B.class_of(X)
-    return env
-
-
 def _sigma_verdicts(ds: DeterminingSequence, B: QuotientBA, *readings: Sequence) -> list[list[bool]]:
-    """The sigmas' verdicts on each reading's level sets; each sigma's
-    compiled program is looked up once for all the readings."""
+    """The sigmas' verdicts on each reading's level sets, each set read
+    once as its class mask; each sigma's compiled program is looked up
+    once for all the readings."""
     progs = [_program(sig, len(B.core)) for sig in ds.sigmas]
-    return [[prog.sat(B, env) for prog in progs] for env in (_profile_env(B, sets) for sets in readings)]
+    envs = ({yname(j, i): B.mask(X) for j, row in enumerate(sets) for i, X in enumerate(row)} for sets in readings)
+    return [[prog.sat(env) for prog in progs] for env in envs]
 
 
 def fv_bounds(
@@ -535,8 +529,9 @@ def certify_sequence(
 
 def pad_shift_check(ds: DeterminingSequence, B: QuotientBA) -> bool:
     """Whether sigma_{l-1}(grid) and sigma_l(1-padded shifted grid)
-    agree on B for every level and every assignment tried: all of them
-    up to 2^16 assignments, else 1,000 drawn with seed 0.
+    agree on B for every level and every assignment of class masks
+    tried: all of them up to 2^16 assignments, else 1,000 drawn with
+    seed 0, each mask one `randrange(2^k)` on a core of k atoms.
 
     The exact identity is promised only for sequences of formulas with
     no -., sup or inf node (atomic formulas, constants and half chains
@@ -545,7 +540,7 @@ def pad_shift_check(ds: DeterminingSequence, B: QuotientBA) -> bool:
     replaces its body's level-0 read by 1. For those sequences the
     padded readings promised are the one-sided implications E and F of
     the module docstring, which certify checks."""
-    N = 2**ds.n
+    N, k = 2**ds.n, len(B.core)
     pad = {yname(j, 0): BOne() for j in range(ds.m)}
     for j in range(ds.m):
         for i in range(1, N + 1):
@@ -554,15 +549,15 @@ def pad_shift_check(ds: DeterminingSequence, B: QuotientBA) -> bool:
         left = ds.sigmas[l - 1]
         right = subst_bvars(ds.sigmas[l], pad)
         names = tuple(dict.fromkeys(free_bvars(left) + free_bvars(right)))
-        prog_l, prog_r = _program(left, len(B.core)), _program(right, len(B.core))
-        if len(B.elements) ** len(names) <= 2**16:
-            combos = itertools.product(B.elements, repeat=len(names))
+        prog_l, prog_r = _program(left, k), _program(right, k)
+        if (1 << k) ** len(names) <= 2**16:
+            combos = itertools.product(range(1 << k), repeat=len(names))
         else:
             rng = random.Random(0)
-            combos = (tuple(B.elements[rng.randrange(len(B.elements))] for _ in names) for _ in range(1000))
+            combos = (tuple(rng.randrange(1 << k) for _ in names) for _ in range(1000))
         for combo in combos:
             env = dict(zip(names, combo))
-            if prog_l.sat(B, env) != prog_r.sat(B, env):
+            if prog_l.sat(env) != prog_r.sat(env):
                 return False
     return True
 

@@ -862,7 +862,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ParseError, ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (ParseError, ValueError, OSError, KeyError, json.JSONDecodeError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -75,12 +75,12 @@ class ReducedProduct:
     reps: tuple[tuple, ...]
     labels: tuple[str, ...]
     core_pos: tuple[int, ...]
-    class_of_key: Mapping[tuple, int]
+    index_of_key: Mapping[tuple, int]
     structure: FiniteStructure
 
     def label_of(self, point: tuple) -> str:
         """The label of a point's class, read off its core coordinates."""
-        return self.labels[self.class_of_key[tuple(point[i] for i in self.core_pos)]]
+        return self.labels[self.index_of_key[tuple(point[i] for i in self.core_pos)]]
 
 
 def _class_labels(reps: Sequence[tuple]) -> tuple[str, ...]:
@@ -111,7 +111,7 @@ def reduced_product(fam: Family) -> ReducedProduct:
     # appear in the product; a class's first point has every off-core
     # coordinate at its structure's universe[0]
     keys = list(itertools.product(*(s.universe for s in core)))
-    class_of_key = {k: i for i, k in enumerate(keys)}
+    index_of_key = {k: i for i, k in enumerate(keys)}
     reps: list[tuple] = []
     for k in keys:
         rep = [s.universe[0] for s in structs]
@@ -141,13 +141,13 @@ def reduced_product(fam: Family) -> ReducedProduct:
         table: dict[tuple, Point] = {}
         for combo in itertools.product(range(len(keys)), repeat=f.arity):
             image = tuple(s.funcs[f.name][core_args(combo, c)] for c, s in enumerate(core))
-            table[tuple(labels[i] for i in combo)] = labels[class_of_key[image]]
+            table[tuple(labels[i] for i in combo)] = labels[index_of_key[image]]
         funcs[f.name] = table
 
-    consts = {name: labels[class_of_key[tuple(s.consts[name] for s in core)]] for name in sig.consts}
+    consts = {name: labels[index_of_key[tuple(s.consts[name] for s in core)]] for name in sig.consts}
 
     induced = FiniteStructure(sig, labels, dist, preds, funcs, consts)
-    return ReducedProduct(fam, ProductPoints(tuple(s.universe for s in structs)), tuple(reps), labels, core_pos, class_of_key, induced)
+    return ReducedProduct(fam, ProductPoints(tuple(s.universe for s in structs)), tuple(reps), labels, core_pos, index_of_key, induced)
 
 
 def project(rp: ReducedProduct, point: Sequence) -> str:

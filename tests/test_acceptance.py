@@ -151,6 +151,11 @@ def _in_pad_shift_fragment(f) -> bool:
     return isinstance(f, (Zero, One, Atomic, Dist))
 
 
+def label_sets(sets_by_psi) -> dict:
+    """An assignment of label sets to y[j][i], for ba_eval to read as classes."""
+    return {fvt.yname(j, i): X for j, row in enumerate(sets_by_psi) for i, X in enumerate(row)}
+
+
 def test_criterion_05_pad_shift(capsys):
     bat = hc.battery(hc.BATTERY_SIG, 2, CAPS)
     algebras = [quotient(trivial_ideal((1, 2))), quotient(close_ideal((1, 2, 3), [{1}]))]
@@ -185,8 +190,8 @@ def test_criterion_05_pad_shift(capsys):
             for sent, ds in gated:
                 value = evaluate(rp.structure, sent)
                 ls = fvt.level_sets(ds, fam, {})
-                padded = fvt._profile_env(B, [(top,) + row[:-1] for row in ls.strict])
-                shifted = fvt._profile_env(B, [row[1:] + (empty,) for row in ls.weak])
+                padded = label_sets([(top,) + row[:-1] for row in ls.strict])
+                shifted = label_sets([row[1:] + (empty,) for row in ls.weak])
                 for l, sigma in enumerate(ds.sigmas):
                     checks += 1
                     floor = Fraction(l - 1 - ds.tm[l], N)

@@ -181,11 +181,31 @@ def test_quotient_class_counts():
 
 def test_quotient_classes_collapse_ideal_part():
     B = quotient(close_ideal((1, 2, 3), [{1}]))
-    assert B.class_of({1, 2}) == B.class_of({2})
-    assert B.class_of({1}) == B.zero
-    assert B.one == fs(2, 3)
+    assert B.mask({1, 2}) == B.mask({2}) == 0b01
+    assert B.mask({1}) == B.mask(()) == 0
+    assert B.mask({1, 2, 3}) == 0b11
+    assert B.elements == (fs(), fs(2), fs(3), fs(2, 3))
+    assert [B.mask(e) for e in B.elements] == [0, 1, 2, 3]
     with pytest.raises(ValueError):
-        B.class_of({4})
+        B.mask({4})
+
+
+def test_ba_eval_reads_each_set_as_its_class():
+    B = quotient(close_ideal((1, 2, 3), [{1}]))
+    y, z = BVar("y"), BVar("z")
+    formulas = [NotZero(y), TermEq(y, BZero()), TermLe(y, z), BExists("z", BAnd((NotZero(z), TermLe(z, y))))]
+    for X in ({1, 2}, {1}, {1, 3}, {1, 2, 3}):
+        core_part = X - {1}
+        for Z in B.elements:
+            assert [ba_eval(B, f, {"y": X, "z": Z}) for f in formulas] == [
+                ba_eval(B, f, {"y": core_part, "z": Z}) for f in formulas
+            ], X
+    assert ba_eval(B, TermEq(y, BZero()), {"y": {1}})
+    assert not ba_eval(B, NotZero(y), {"y": {1}})
+    with pytest.raises(ValueError):
+        ba_eval(B, NotZero(y), {"y": {4}})
+    with pytest.raises(ValueError):
+        ba_eval(B, NotZero(y), {})
 
 
 # --------------------------------------------------------------------------
@@ -195,10 +215,10 @@ def test_quotient_classes_collapse_ideal_part():
 def test_ba_eval_atoms():
     B = quotient(trivial_ideal((1, 2)))
     y = BVar("y")
-    assert not ba_eval(B, NotZero(y), {"y": B.zero})
-    assert ba_eval(B, NotZero(y), {"y": B.class_of({1})})
-    assert ba_eval(B, TermEq(BMeet(y, BCompl(y)), BZero()), {"y": B.class_of({2})})
-    assert ba_eval(B, TermLe(y, BOne()), {"y": B.one})
+    assert not ba_eval(B, NotZero(y), {"y": frozenset()})
+    assert ba_eval(B, NotZero(y), {"y": fs(1)})
+    assert ba_eval(B, TermEq(BMeet(y, BCompl(y)), BZero()), {"y": fs(2)})
+    assert ba_eval(B, TermLe(y, BOne()), {"y": fs(1, 2)})
     assert ba_eval(B, b_true(), {})
     assert not ba_eval(B, b_false(), {})
 
@@ -206,8 +226,8 @@ def test_ba_eval_atoms():
 def test_ba_eval_quantifiers():
     B = quotient(trivial_ideal((1, 2)))
     f = BExists("z", BAnd((NotZero(BVar("z")), TermLe(BVar("z"), BVar("y")))))
-    assert ba_eval(B, f, {"y": B.class_of({1})})
-    assert not ba_eval(B, f, {"y": B.zero})
+    assert ba_eval(B, f, {"y": fs(1)})
+    assert not ba_eval(B, f, {"y": frozenset()})
     top = BForall("z", TermLe(BVar("z"), BOne()))
     for size in (1, 2, 3):
         for I in all_ideals(tuple(range(size))):
@@ -413,7 +433,7 @@ def test_guarded_matches_raw_expansion(g):
             want = reference_ba_eval(B, raw, env)
             assert ba_eval(B, g, env) == ba_eval(B, raw, env) == want, (B.core, env)
             for s, X in zip(prog.free, combo):
-                session[s] = B.masks[X]
+                session[s] = B.mask(X)
             assert prog.run(session) == want, (B.core, env)
 
 
@@ -462,7 +482,7 @@ def test_guarded_property_matches_raw_expansion(g):
             want = reference_ba_eval(B, raw, env)
             assert ba_eval(B, g, env) == want, (B.core, env)
             for s, X in zip(prog.free, combo):
-                session[s] = B.masks[X]
+                session[s] = B.mask(X)
             assert prog.run(session) == want, (B.core, env)
 
 
@@ -522,15 +542,15 @@ def reference_ba_eval(B: QuotientBA, f: BooleanFormula, assignment: Mapping[str,
             except KeyError:
                 raise ValueError(f"unbound Boolean variable {t.name!r}") from None
         if isinstance(t, BZero):
-            return B.zero
+            return frozenset()
         if isinstance(t, BOne):
-            return B.one
+            return frozenset(B.core)
         if isinstance(t, BMeet):
             return term(t.left) & term(t.right)
         if isinstance(t, BJoin):
             return term(t.left) | term(t.right)
         if isinstance(t, BCompl):
-            return B.one - term(t.arg)
+            return frozenset(B.core) - term(t.arg)
         raise TypeError(f"unknown Boolean term {t!r}")
 
     def sat(g: BooleanFormula) -> bool:
@@ -571,7 +591,7 @@ def reference_ba_eval(B: QuotientBA, f: BooleanFormula, assignment: Mapping[str,
         # translator output; equivalence with expand_raw is covered by an
         # exhaustive test at small sizes.
         bound_vals = [term(b) for _, b in g.bounds]
-        caps: dict[str, frozenset] = {v: B.one for v in g.zvars}
+        caps: dict[str, frozenset] = {v: frozenset(B.core) for v in g.zvars}
         for (meet_vars, _), bval in zip(g.bounds, bound_vals):
             if len(meet_vars) == 1 and meet_vars[0] in caps:
                 caps[meet_vars[0]] = caps[meet_vars[0]] & bval
@@ -591,7 +611,7 @@ def reference_ba_eval(B: QuotientBA, f: BooleanFormula, assignment: Mapping[str,
 
         def bound_holds(bi: int) -> bool:
             meet_vars, _ = g.bounds[bi]
-            m = B.one
+            m = frozenset(B.core)
             for v in meet_vars:
                 m = m & env[v]
             return m <= bound_vals[bi]
@@ -724,7 +744,7 @@ def test_wide_guarded_block_memoizes_across_a_session():
         for i, X in itertools.product(range(len(names)), B.elements):
             combo = base[:i] + [X] + base[i + 1 :]
             for s, Y in zip(prog.free, combo):
-                session[s] = B.masks[Y]
+                session[s] = B.mask(Y)
             want = reference_ba_eval(B, raw, dict(zip(names, combo)))
             assert prog.run(session) == want, combo
             verdicts.append(want)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from typing import Mapping
 
@@ -19,11 +20,13 @@ from fvlogic.boolean_ideals import (
     BVar,
     GuardedExists,
     NotZero,
+    QuotientBA,
     b_false,
     ba_eval,
     close_ideal,
     expand_guarded,
     free_bvars,
+    is_monotone,
     quotient,
     subst_bvars,
     to_prefix,
@@ -65,6 +68,7 @@ from fvlogic.syntax import (
     parse,
     to_text,
 )
+from test_boolean_ideals import reference_ba_eval
 
 PSIG = Signature(preds=(PredSym("P", 1, Fraction(1)),), consts=("c",))
 PQSIG = Signature(preds=(PredSym("P", 1, Fraction(1)), PredSym("Q", 1, Fraction(1))))
@@ -473,9 +477,18 @@ def test_certify_bounds_equal_fv_bounds_on_battery_sentences():
     assert checked >= 20
 
 
+def core_classes(B, sets_by_psi):
+    """Each level set's class as the frozenset of its core labels, the
+    class that reference_ba_eval reads, computed apart from B.mask."""
+    return {
+        yname(j, i): frozenset(g for g in B.core if g in X) for j, row in enumerate(sets_by_psi) for i, X in enumerate(row)
+    }
+
+
 def test_certify_looks_up_each_sigma_once(monkeypatch):
     # certify reads four level-set readings and fv_bounds two, each sigma's
-    # compiled program fetched once; the verdicts are ba_eval's, reading by reading
+    # compiled program fetched once; the verdicts are those of the frozenset
+    # reference evaluator on classes built here, reading by reading
     lookups = []
     fetch = fv._program
     monkeypatch.setattr(fv, "_program", lambda f, k: lookups.append(f) or fetch(f, k))
@@ -489,8 +502,27 @@ def test_certify_looks_up_each_sigma_once(monkeypatch):
             assert lookups == list(ds.sigmas), f
         ls = level_sets(ds, fam, {})
         readings = (ls.strict, ls.weak, [row[::-1] for row in ls.weak])
-        want = [[ba_eval(B, s, fv._profile_env(B, sets)) for s in ds.sigmas] for sets in readings]
+        assert any(1 in X for sets in readings for row in sets for X in row)  # an S* label, outside every class
+        want = [[reference_ba_eval(B, s, core_classes(B, sets)) for s in ds.sigmas] for sets in readings]
         assert fv._sigma_verdicts(ds, B, *readings) == want
+
+
+def test_fv_path_never_lists_classes(monkeypatch):
+    # certify, fv_bounds, pad_shift_check and is_monotone read classes as
+    # masks; listing P(core)/I is left to the tests and the benchmark
+    def listed(B):
+        raise AssertionError(f"the classes of a {len(B.core)}-atom core were listed")
+
+    monkeypatch.setattr(QuotientBA, "elements", property(listed))
+    fam = value_family(trivial_ideal((1, 2, 3)))
+    B = quotient(fam.ideal)
+    assert len(B.core) == 3
+    for f in (P_c, Sup("x", P_x), Monus(P_c, Half(P_c))):
+        ds = translate(normalize_restricted(f), 1)
+        assert certify(f, 1, fam, {}).ok, f
+        assert fv_bounds(f, 1, fam, {}, ds) == certify_sequence(ds, f, fam, {}).bounds
+        assert pad_shift_check(ds, B) == (f is P_c), f
+        assert all(is_monotone(s, B) for s in ds.sigmas), f
 
 
 # --------------------------------------------------------------------------
@@ -585,6 +617,31 @@ def test_pad_shift_fails_for_monus_and_sup():
     assert not pad_shift_check(translate(Sup("x", P_x), 1), B)
 
 
+def test_pad_shift_check_draws_one_seeded_mask_per_variable(monkeypatch):
+    # six psis on a 3-atom core make 8^6 > 2^16 assignments a level, so
+    # each level draws 1,000, one randrange(8) a variable from Random(0)
+    sigmas = tuple(BAnd(tuple(nz(j, l) for j in range(6))) for l in range(3))
+    wide = replace(translate(P_x, 1), psis=(P_x,) * 6, sigmas=sigmas)
+    seen = []
+    fetch = fv._program
+
+    class Recorded:
+        def __init__(self, prog):
+            self.prog = prog
+
+        def sat(self, env):
+            seen.append(env)
+            return self.prog.sat(env)
+
+    monkeypatch.setattr(fv, "_program", lambda f, k: Recorded(fetch(f, k)))
+    assert pad_shift_check(wide, quotient(trivial_ideal((1, 2, 3))))
+    envs = seen[::2]  # both sides read each assignment
+    assert len(envs) == 2 * 1000
+    for level in (envs[:1000], envs[1000:]):
+        rng = random.Random(0)
+        assert [list(env.values()) for env in level] == [[rng.randrange(8) for _ in range(6)] for _ in level]
+
+
 # --------------------------------------------------------------------------
 # mutation detection
 
@@ -594,7 +651,7 @@ def test_count_and_mutate_atoms():
     assert count_atoms(ds.sigmas[0]) == 1
     mutated = mutate_sigma(ds.sigmas[0], 0)
     B = quotient(trivial_ideal((1, 2)))
-    full = B.class_of(frozenset({1, 2}))
+    full = frozenset({1, 2})
     env = {yname(0, 0): full}
     assert ba_eval(B, ds.sigmas[0], env)
     assert not ba_eval(B, mutated, env)

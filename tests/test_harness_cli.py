@@ -581,6 +581,31 @@ def test_cli_eval_rejects_an_empty_tensor(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def nested(depth: int) -> str:
+    """A JSON document that wraps "0" in `depth` lists."""
+    return "[" * depth + '"0"' + "]" * depth
+
+
+@pytest.mark.parametrize(
+    ("text", "command"),
+    [
+        (nested(3000), ["eval", "--formula", "1", "--structure", "{deep}"]),
+        (nested(3000), ["rp", "--structure", "{s}", "--ideal", "{deep}"]),
+        (nested(3000), ["translate", "--formula", "1", "--n", "0", "--sig", "{deep}"]),
+        # json reads a 985-deep tensor, but reading it into a table does not fit the stack
+        ('{"universe": ["a"], "dist": [["0"]], "preds": {"P": %s}}' % nested(985), ["eval", "--formula", "1", "--structure", "{deep}"]),
+    ],
+    ids=["eval", "rp-ideal", "translate-sig", "eval-tensor"],
+)
+def test_cli_refuses_deeply_nested_json_in_one_line(files, text, command):
+    tmp = files[0]
+    (tmp / "deep.json").write_text(text)
+    proc = run_fv(*(arg.format(deep=tmp / "deep.json", s=tmp / "s.json") for arg in command))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
 def malformed_inputs(files, edit):
     """Write a structure, a family and a signature document, let `edit`
     change them, and return the commands that read them with --sig."""
@@ -665,13 +690,17 @@ def test_cli_rp_refuses_a_product_over_the_point_cap(files):
     assert proc.stderr.splitlines() == [f"error: product would have 7776 points, cap is {MAX_PRODUCT_POINTS}"]
 
 
-@pytest.mark.parametrize("suite", ["atomic", "fv", "quotient", "fubini"])
-def test_cli_check_report_matches_the_committed_bytes(tmp_path, suite):
+@pytest.mark.parametrize(
+    ("suite", "seed"),
+    [pytest.param(suite, 0, id=suite) for suite in ("atomic", "fv", "quotient", "fubini")]
+    + [pytest.param("fv", 42, id="fv-seed42")],
+)
+def test_cli_check_report_matches_the_committed_bytes(tmp_path, suite, seed):
     # the reports pin each suite's case count and skip list, which follow
     # from the resource caps; preservation is left out for its run time
     out = tmp_path / "report.json"
-    assert hc.cli(["check", "--suite", suite, "--seed", "0", "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / f"check_seed0_{suite}.json").read_bytes()
+    assert hc.cli(["check", "--suite", suite, "--seed", str(seed), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"check_seed{seed}_{suite}.json").read_bytes()
 
 
 def test_cli_check_writes_reproducible_report(files, tmp_path, capsys):
