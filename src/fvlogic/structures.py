@@ -2,18 +2,19 @@
 
 Structures carry exact rational distance and predicate tables. The
 evaluator is the ground-truth oracle for everything else in the package:
-sup and inf over a finite universe are max and min, and all arithmetic
-is `fractions.Fraction`.
+sup and inf over a finite universe are max and min, and it computes on
+exact ints over one denominator per structure, returning a `Fraction`.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import syntax as sx
 from .syntax import Formula, FuncSym, PredSym, Signature, Term, format_fraction, parse_fraction
@@ -54,6 +55,34 @@ class FiniteStructure:
 
     def d(self, a: Point, b: Point) -> Fraction:
         return self.dist[(a, b)]
+
+    @functools.cached_property
+    def ints(self) -> "IntTables":
+        """The tables on positions, built on first read and kept."""
+        U = self.universe
+        pos = {a: i for i, a in enumerate(U)}
+        flat = lambda table, arity: [table[t] for t in itertools.product(U, repeat=arity)]
+        dist = [[self.dist[(a, b)] for b in U] for a in U]
+        preds = {p.name: flat(self.preds[p.name], p.arity) for p in self.sig.preds}
+        den = math.lcm(*(v.denominator for v in itertools.chain(*dist, *preds.values())))
+        scaled = lambda vals: [v.numerator * (den // v.denominator) for v in vals]
+        funcs = {f.name: [pos[b] for b in flat(self.funcs[f.name], f.arity)] for f in self.sig.funcs}
+        consts = {name: pos[self.consts[name]] for name in self.sig.consts}
+        return IntTables(pos, den, list(map(scaled, dist)), {k: scaled(v) for k, v in preds.items()}, funcs, consts)
+
+
+class IntTables(NamedTuple):
+    """A structure's tables on positions: `pos` numbers the universe; the
+    distance matrix and predicate values are ints over `den`, the lcm of
+    their denominators; function images and constants are positions. A
+    flat table is indexed by its argument positions read in base len(pos)."""
+
+    pos: dict[Point, int]
+    den: int
+    dist: list[list[int]]
+    preds: dict[str, list[int]]
+    funcs: dict[str, list[int]]
+    consts: dict[str, int]
 
 
 def _on_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -125,12 +154,10 @@ def lipschitz_ratio(s: FiniteStructure, sym: PredSym | FuncSym) -> Fraction:
     pairs of argument tuples at max-metric distance rho > 0 (0 when
     there is none). Pairs are read unordered, so it is exact on a
     symmetric metric."""
-    pos = {a: i for i, a in enumerate(s.universe)}
-    dd, D = _int_dist(s.universe, s.dist)
-    tups = itertools.product(s.universe, repeat=sym.arity)
+    T = s.ints
     if isinstance(sym, PredSym):
-        return _ratio(D, dd, sym, [s.preds[sym.name][t] for t in tups])
-    return _ratio(D, dd, sym, [pos[s.funcs[sym.name][t]] for t in tups])
+        return _ratio(T.dist, T.den, sym, [s.preds[sym.name][t] for t in itertools.product(s.universe, repeat=sym.arity)])
+    return _ratio(T.dist, T.den, sym, T.funcs[sym.name])
 
 
 def validate(s: FiniteStructure) -> Optional[Violation]:
@@ -221,88 +248,103 @@ def map_failures(S: FiniteStructure, T: FiniteStructure, rho: Mapping[Point, Poi
 # evaluation
 
 
-# Each node's value from its children's: a connective's truth function or
-# a lookup in the structure. `evaluate` reads Var, Sup and Inf itself.
-_SEMANTICS: dict[type, Callable[..., Any]] = {
-    sx.Const: lambda s, g: s.consts[g.name],
-    sx.Apply: lambda s, g, *xs: s.funcs[g.func][xs],
-    sx.Atomic: lambda s, g, *xs: s.preds[g.pred][xs],
-    sx.Dist: lambda s, g, *xs: s.dist[xs],
-    sx.Zero: lambda s, g: Fraction(0),
-    sx.One: lambda s, g: Fraction(1),
-    sx.DyadicConst: lambda s, g: Fraction(g.num, 2**g.denom_log2),
-    sx.Half: lambda s, g, x: x / 2,
-    sx.Monus: lambda s, g, x, y: x - y if x >= y else Fraction(0),
-    sx.Min: lambda s, g, x, y: min(x, y),
-    sx.Max: lambda s, g, x, y: max(x, y),
-    sx.Neg: lambda s, g, x: 1 - x,
+# A compiled node: a closure from an env of variable positions to an int x (a
+# position, for a term), the exponent e of its value x / (D * 2^e), its free
+# variables in first-occurrence order, and the node itself, so its id is not reused.
+_Node = tuple[Callable[[dict], int], int, tuple[str, ...], Any]
+
+
+def _lookup(table: list, n: int, args: Sequence[_Node]) -> Callable[[dict], int]:
+    """The entry of a flat table at the positions of args, read in base n."""
+    runs = [x[0] for x in args]
+    if len(runs) == 1:
+        return lambda env, a=runs[0]: table[a(env)]
+    if len(runs) == 2:
+        return lambda env, a=runs[0], b=runs[1]: table[a(env) * n + b(env)]
+    return lambda env: table[functools.reduce(lambda i, r: i * n + r(env), runs, 0)]
+
+
+def _aligned(T: "IntTables", g: Formula, names: tuple[str, ...], a: _Node, b: _Node) -> tuple[Callable[[dict], int], int]:
+    """-., min or max over the larger of the children's exponents; the child
+    with the smaller one is shifted left inside g's closure, in no frame of
+    its own. a -. b is a - min(a, b)."""
+    (x, ea, *_), (y, eb, *_) = a, b
+    e = max(ea, eb)
+    i, j = e - ea, e - eb
+    if type(g) is sx.Monus:
+        return (lambda env: (p := x(env) << i) - min(p, y(env) << j)), e
+    op = min if type(g) is sx.Min else max
+    return (lambda env: op(x(env) << i, y(env) << j)), e
+
+
+def _quantifier(T: "IntTables", g: sx.Sup | sx.Inf, names: tuple[str, ...], body: _Node) -> tuple[Callable[[dict], int], int]:
+    """max (sup) or min (inf) of the body over the positions, memoized on
+    the values of g's free variables."""
+    inner, var, points, memo, agg = body[0], g.var, range(len(T.pos)), {}, (max if type(g) is sx.Sup else min)
+    key = operator.itemgetter(*names) if names else (lambda env: None)
+
+    def run(env: dict) -> int:
+        k = key(env)
+        got = memo.get(k)
+        if got is None:
+            saved = env.get(var)  # a position, or None when var is not bound outside g
+            got = memo[k] = agg([inner(env) for env[var] in points])  # var takes each position in turn
+            if saved is not None:
+                env[var] = saved
+        return got
+
+    return run, body[1]
+
+
+# Each node class's compiler: from the structure's int tables T, the node g,
+# its free variables and its compiled children to (closure, exponent).
+_COMPILE: dict[type, Callable[..., tuple[Callable[[dict], int], int]]] = {
+    sx.Var: lambda T, g, names: (operator.itemgetter(g.name), 0),
+    sx.Const: lambda T, g, names: ((lambda env, p=T.consts[g.name]: p), 0),
+    sx.Apply: lambda T, g, names, *args: (_lookup(T.funcs[g.func], len(T.pos), args), 0),
+    sx.Atomic: lambda T, g, names, *args: (_lookup(T.preds[g.pred], len(T.pos), args), 0),
+    sx.Dist: lambda T, g, names, a, b: ((lambda env, D=T.dist, x=a[0], y=b[0]: D[x(env)][y(env)]), 0),
+    sx.Zero: lambda T, g, names: ((lambda env: 0), 0),
+    sx.One: lambda T, g, names: ((lambda env, x=T.den: x), 0),
+    sx.DyadicConst: lambda T, g, names: ((lambda env, x=g.num * T.den: x), g.denom_log2),
+    sx.Half: lambda T, g, names, a: (a[0], a[1] + 1),
+    sx.Neg: lambda T, g, names, a: ((lambda env, x=a[0], top=T.den << a[1]: top - x(env)), a[1]),
+    **dict.fromkeys((sx.Monus, sx.Min, sx.Max), _aligned),
+    **dict.fromkeys((sx.Sup, sx.Inf), _quantifier),
 }
 
 
-def evaluate(
-    s: FiniteStructure,
-    f: Formula,
-    val: Optional[Mapping[str, Point]] = None,
-    session: Optional[dict] = None,
-) -> Fraction:
-    """Evaluate `f` in `s` under `val`. Handles derived connectives
-    directly (exactly), so it can serve as the oracle for normalization.
-    Calls that pass one `session` dict share, per structure, the node
-    table and the memo below, so their common subformulas run once."""
-    env = dict(val or {})
-    # nodes: each node's free variables in first-occurrence order (Sup
-    # and Inf drop their bound variable), semantics row and children, by
-    # id; memo: values by node and the values of its free variables in
-    # env; keep: every node in the table, so that no id is reused
-    nodes: dict[int, tuple[tuple[str, ...], Optional[Callable[..., Any]], tuple]]
-    nodes, memo, keep = ({}, {}, []) if session is None else session.setdefault(s, ({}, {}, []))
+def _compile(T: "IntTables", g: Formula | Term, nodes: dict[int, _Node]) -> _Node:
+    """g's node, from `nodes` (keyed by id) or compiled into it. a -. (a -. b)
+    with one object a, as normalize_restricted writes min(a, b), compiles
+    as min(a, b): a runs once, so a left-nested min chain costs its length
+    and not 2^length."""
+    got = nodes.get(id(g))
+    if got is None:
+        h = g
+        if type(g) is sx.Monus and type(g.right) is sx.Monus and g.right.left is g.left:
+            h = sx.Min(g.left, g.right.right)
+        kids = [_compile(T, c, nodes) for c in sx.children(h)]
+        names = kids[0][2] if len(kids) == 1 else tuple(dict.fromkeys(itertools.chain(*[k[2] for k in kids])))
+        if type(h) is sx.Var:
+            names = (h.name,)
+        elif type(h) in (sx.Sup, sx.Inf) and h.var in names:
+            names = tuple(v for v in names if v != h.var)
+        got = nodes[id(g)] = (*_COMPILE[type(h)](T, h, names, *kids), names, g)
+    return got
 
-    def prepare(g: Formula | Term) -> tuple[tuple[str, ...], Optional[Callable[..., Any]], tuple]:
-        got = nodes.get(id(g))
-        if got is None:
-            kids = sx.children(g)
-            below = list(map(prepare, kids))
-            names = dict.fromkeys(itertools.chain((g.name,) if isinstance(g, sx.Var) else (), *[c[0] for c in below]))
-            if isinstance(g, (sx.Sup, sx.Inf)):
-                names.pop(g.var, None)
-            got = nodes[id(g)] = (tuple(names), _SEMANTICS.get(type(g)), kids)
-            keep.append(g)
-        return got
 
-    def go(g: Formula | Term) -> Any:
-        if isinstance(g, sx.Var):
-            return env[g.name]
-        names, row, kids = nodes[id(g)]
-        key = (id(g), tuple(map(env.__getitem__, names)))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if row is None:
-            agg = max if isinstance(g, sx.Sup) else min
-            saved = env.get(g.var)
-            vals = []
-            for u in s.universe:
-                env[g.var] = u
-                vals.append(go(kids[0]))
-            if saved is None:
-                env.pop(g.var, None)
-            else:
-                env[g.var] = saved
-            out = agg(vals)
-        else:
-            out = row(s, g, *map(go, kids))
-        memo[key] = out
-        return out
-
-    try:
-        missing = [v for v in prepare(f)[0] if v not in env]
-        if missing:
-            raise ValueError(f"unbound variable {missing[0]!r}")
-        return go(f)
-    finally:
-        # the recursive closures reference themselves: break that cycle, so that
-        # a session's tables go with the session, not at a full collection
-        del prepare, go
+def evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] = None, session: Optional[dict] = None) -> Fraction:
+    """Evaluate `f` in `s` under `val`, exactly. Handles derived connectives
+    directly, so it can serve as the oracle for normalization. `f` is
+    compiled to int closures over `s.ints`; calls that pass one `session`
+    dict share, per structure, the compiled nodes and their memos."""
+    T = s.ints
+    run, e, names, _ = _compile(T, f, {} if session is None else session.setdefault(s, {}))
+    missing = [v for v in names if v not in (val or {})]
+    if missing:
+        raise ValueError(f"unbound variable {missing[0]!r}")
+    return Fraction(run({v: T.pos[val[v]] for v in names}), T.den << e)
 
 
 # --------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from fvlogic.syntax import (
     normalize_restricted,
     to_text,
 )
+from test_fv_translator import pad_shift_check
 
 SEED = 42
 CAPS = hc.load_caps()
@@ -174,7 +175,7 @@ def test_criterion_05_pad_shift(capsys):
             continue
         for B in algebras:
             pairs += 1
-            if not fvt.pad_shift_check(ds, B):
+            if not pad_shift_check(ds, B):
                 mismatches.append((to_text(sent), tuple(B.core)))
 
     # (b) E: sigma_l on (1, strict sets shifted up) -> value > (l-1-tm[l])/2^n

@@ -21,6 +21,7 @@ from fvlogic.boolean_ideals import (
     GuardedExists,
     NotZero,
     QuotientBA,
+    _program,
     b_false,
     ba_eval,
     close_ideal,
@@ -42,7 +43,6 @@ from fvlogic.fv_translator import (
     level_sets,
     mutate_ds,
     mutate_sigma,
-    pad_shift_check,
     translate,
     translation_cost,
     yname,
@@ -603,6 +603,43 @@ def test_certify_random_families(seed):
 # pad-and-shift behaviour
 
 
+# The exact pad-shift comparison that criterion 05 and the tests below run;
+# nothing in the package calls it.
+def pad_shift_check(ds: DeterminingSequence, B: QuotientBA) -> bool:
+    """Whether sigma_{l-1}(grid) and sigma_l(1-padded shifted grid)
+    agree on B for every level and every assignment of class masks
+    tried: all of them up to 2^16 assignments, else 1,000 drawn with
+    seed 0, each mask one `randrange(2^k)` on a core of k atoms.
+
+    The exact identity is promised only for sequences of formulas with
+    no -., sup or inf node (atomic formulas, constants and half chains
+    over them). Padding raises every psi by one level; -. reads its
+    right operand through 1 -. psi and so moves two levels, and sup
+    replaces its body's level-0 read by 1. For those sequences the
+    padded readings promised are the one-sided implications E and F of
+    the fv_translator module docstring, which certify checks."""
+    N, k = 2**ds.n, len(B.core)
+    pad = {yname(j, 0): BOne() for j in range(ds.m)}
+    for j in range(ds.m):
+        for i in range(1, N + 1):
+            pad[yname(j, i)] = BVar(yname(j, i - 1))
+    for l in range(1, N + 1):
+        left = ds.sigmas[l - 1]
+        right = subst_bvars(ds.sigmas[l], pad)
+        names = tuple(dict.fromkeys(free_bvars(left) + free_bvars(right)))
+        prog_l, prog_r = _program(left, k), _program(right, k)
+        if (1 << k) ** len(names) <= 2**16:
+            combos = itertools.product(range(1 << k), repeat=len(names))
+        else:
+            rng = random.Random(0)
+            combos = (tuple(rng.randrange(1 << k) for _ in names) for _ in range(1000))
+        for combo in combos:
+            env = dict(zip(names, combo))
+            if prog_l.sat(env) != prog_r.sat(env):
+                return False
+    return True
+
+
 def test_pad_shift_holds_for_atomic_chain():
     B = quotient(trivial_ideal((1, 2)))
     for f, n in ((P_x, 1), (Zero(), 1), (One(), 1), (Half(P_x), 1), (Half(Half(P_x)), 2)):
@@ -623,7 +660,7 @@ def test_pad_shift_check_draws_one_seeded_mask_per_variable(monkeypatch):
     sigmas = tuple(BAnd(tuple(nz(j, l) for j in range(6))) for l in range(3))
     wide = replace(translate(P_x, 1), psis=(P_x,) * 6, sigmas=sigmas)
     seen = []
-    fetch = fv._program
+    fetch = _program
 
     class Recorded:
         def __init__(self, prog):
@@ -633,7 +670,7 @@ def test_pad_shift_check_draws_one_seeded_mask_per_variable(monkeypatch):
             seen.append(env)
             return self.prog.sat(env)
 
-    monkeypatch.setattr(fv, "_program", lambda f, k: Recorded(fetch(f, k)))
+    monkeypatch.setitem(globals(), "_program", lambda f, k: Recorded(fetch(f, k)))
     assert pad_shift_check(wide, quotient(trivial_ideal((1, 2, 3))))
     envs = seen[::2]  # both sides read each assignment
     assert len(envs) == 2 * 1000

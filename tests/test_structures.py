@@ -1,10 +1,13 @@
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
 from typing import Mapping, Optional
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hs
 
 from fvlogic import harness_cli as hc
 from fvlogic import reduced_products as rp
@@ -13,6 +16,7 @@ from fvlogic import syntax as sx
 from fvlogic.boolean_ideals import trivial_ideal
 from fvlogic.structures import MAX_UNIVERSE, FiniteStructure, Point, Violation
 from fvlogic.syntax import Formula, FuncSym, PredSym, Signature, Term, parse
+from test_syntax import SIG as SYNTAX_SIG, formulas
 
 SIG = Signature(
     preds=(PredSym("P", 1, Fraction(1)),),
@@ -523,7 +527,7 @@ def test_random_structure_matches_reference(sig):
 
 
 # --------------------------------------------------------------------------
-# evaluate on the semantics table against the isinstance evaluator
+# evaluate against the isinstance evaluator
 
 
 # evaluate and eval_term as they were before evaluate read its children
@@ -640,3 +644,93 @@ def test_evaluate_matches_reference_on_induced_structures():
     for _ in range(8):
         fam = hc.random_family(hc.BATTERY_SIG, rng)
         assert_evaluate_matches_reference(rp.reduced_product(fam).structure, cases)
+
+
+# --------------------------------------------------------------------------
+# the int compiler against the reference
+
+
+def thirds_fifths_sevenths() -> FiniteStructure:
+    """Three points whose distances and predicate values have denominators
+    3, 5 and 7, so the int tables sit on D = 105 and no value is dyadic."""
+    sig = Signature(preds=(PredSym("P", 1, Fraction(1)),), funcs=(FuncSym("f", 1, Fraction(2)),), consts=("c",))
+    U = ("a", "b", "c0")
+    dist = {(u, u): Fraction(0) for u in U}
+    for (u, v), d in {("a", "b"): Fraction(1, 3), ("a", "c0"): Fraction(1, 5), ("b", "c0"): Fraction(2, 7)}.items():
+        dist[(u, v)] = dist[(v, u)] = d
+    preds = {"P": {("a",): Fraction(1, 7), ("b",): Fraction(2, 5), ("c0",): Fraction(1, 3)}}
+    funcs = {"f": {("a",): "b", ("b",): "a", ("c0",): "c0"}}
+    return FiniteStructure(sig, U, dist, preds, funcs, {"c": "c0"})
+
+
+SCALE_TEXTS = [
+    "half(half(half(half(half(half(half(P(x))))))))",
+    "const(1099511627775/2^40) -. half(d(x,c))",
+    "max(half(P(x)), const(3/2^50))",
+    "min(neg(half(half(d(x,f(x))))), const(699051/2^20))",
+    "neg(half(P(x)) -. half(half(d(x,c))))",
+    "half(const(1/2^45)) -. half(half(half(P(f(x)))))",
+    "sup y . min(half(d(x,y)), neg(P(y))) -. const(1/2^45)",
+    "inf y . max(half(half(half(P(y)))), d(x,y)) -. half(P(x))",
+    "max(min(P(x), half(P(f(x)))), neg(neg(half(half(half(d(c,x)))))))",
+    "inf y . sup z . min(d(y,z), neg(half(P(z)))) -. half(d(x,y))",
+]
+
+
+def test_evaluate_is_exact_on_non_dyadic_tables():
+    s = thirds_fifths_sevenths()
+    assert st.validate(s) is None
+    assert s.ints.den == 105
+    assert st.evaluate(s, parse("half(half(half(P(x))))", s.sig), {"x": "a"}) == Fraction(1, 56)
+    assert st.evaluate(s, parse("neg(d(x,c)) -. const(1/2^40)", s.sig), {"x": "b"}) == Fraction(5, 7) - Fraction(1, 2**40)
+    for text in SCALE_TEXTS:
+        f = parse(text, s.sig)
+        for u in s.universe:
+            want = reference_evaluate(s, f, {"x": u})
+            assert st.evaluate(s, f, {"x": u}) == want, (text, u)
+            assert st.evaluate(s, sx.normalize_restricted(f), {"x": u}) == want, (text, u)
+
+
+def test_left_nested_min_chain_runs_each_operand_once():
+    # normalize_restricted writes min(a, b) as a -. (a -. b) with one a, so
+    # read naively a left-nested chain of 40 would run its first atom 2^39 times
+    s = st.random_structure(SIG, 3, seed=4)
+    parts = [parse(t, SIG) for t in ("P(x)", "d(x,c)", "half(P(f(x)))", "neg(d(f(x),c))")] * 10
+    chain = functools.reduce(sx.Min, parts)
+    # the normal form is a DAG whose tree is 2^39 nodes: keep it out of the
+    # assert, whose failure message would print it
+    got = st.evaluate(s, sx.Sup("x", sx.normalize_restricted(chain)))
+    assert got == reference_evaluate(s, sx.Sup("x", chain))
+
+
+SHARED_TEXTS = [
+    "sup x . P(x)",
+    "inf x . sup y . d(x,y) -. P(f(y))",
+    "half(P(c)) -. d(c,f(c))",
+    "max(P(f(c)), inf x . half(d(x,c)))",
+    "sup x . min(P(x), neg(d(x,f(x))))",
+]
+
+
+def test_evaluate_session_keeps_structures_on_one_universe_apart():
+    # the same labels and the same formula objects in one session, on
+    # tables that differ: each structure keeps its own nodes and memos
+    s1, s2 = st.random_structure(SIG, 3, seed=1), st.random_structure(SIG, 3, seed=2)
+    assert s1.universe == s2.universe
+    fs = [parse(t, SIG) for t in SHARED_TEXTS]
+    session: dict = {}
+    got = [[st.evaluate(s, f, None, session) for s in (s1, s2)] for f in fs for _ in range(2)]
+    assert got == [[reference_evaluate(s, f) for s in (s1, s2)] for f in fs for _ in range(2)]
+    assert sum(a != b for a, b in got) >= len(got) // 2
+    assert set(session) == {s1, s2}
+
+
+PROPERTY_STRUCTURES = [st.random_structure(SYNTAX_SIG, size, seed) for size in range(1, 5) for seed in (0, 1)]
+
+
+@given(formulas(3), hs.sampled_from(PROPERTY_STRUCTURES), hs.data())
+def test_evaluate_matches_reference_on_drawn_formulas(f, s, data):
+    env = {v: data.draw(hs.sampled_from(s.universe)) for v in ("x", "y")}
+    want = reference_evaluate(s, f, env)
+    assert st.evaluate(s, f, env) == want
+    assert st.evaluate(s, sx.normalize_restricted(f), env) == want
