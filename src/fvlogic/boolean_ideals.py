@@ -276,10 +276,6 @@ BooleanFormula = Union[TermEq, TermLe, NotZero, BAnd, BOr, BNot, BImp, BExists, 
 BNode = Union[BTerm, BooleanFormula]
 
 
-def b_true() -> BooleanFormula:
-    return TermEq(BOne(), BOne())
-
-
 def b_false() -> BooleanFormula:
     return BNot(TermEq(BOne(), BOne()))
 
@@ -631,6 +627,21 @@ def ba_eval(B: QuotientBA, f: BooleanFormula, assignment: Mapping[str, Iterable[
 # monotonicity
 
 
+def _monotone_table(truth: bytes, width: int) -> bool:
+    """True iff no true entry idx of the truth table (2^width entries, each
+    0 or 1) turns false when a clear bit b of idx is set. Bit-parallel: with
+    the table as one int T, bit idx = entry idx, and M the entries with bit
+    b clear, ((T & M) << 2^b) & ~T == 0 for every b."""
+    T = int(truth.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
+    for b in range(width):
+        M, period = (1 << (1 << b)) - 1, 2 << b  # M: the entries with bit b clear, over one period
+        while period < len(truth):
+            M, period = M | M << period, period << 1
+        if (T & M) << (1 << b) & ~T:
+            return False
+    return True
+
+
 def is_monotone(
     f: BooleanFormula,
     B: QuotientBA,
@@ -660,10 +671,7 @@ def is_monotone(
     if len(names) <= exhaustive_vars and k * len(names) <= 18:
         # entry idx packs the variables' masks, k bits each
         truth = bytearray(map(sat, itertools.product(range(prog.one + 1), repeat=len(names))))
-        return not any(
-            truth[idx] and any(not idx >> b & 1 and not truth[idx | 1 << b] for b in range(k * len(names)))
-            for idx in range(len(truth))
-        )
+        return _monotone_table(truth, k * len(names))
     rng = random.Random(seed)
     randrange, rand, size, bits = rng.randrange, rng.random, prog.one + 1, [1 << i for i in range(k)]
     for _ in range(1000):

@@ -28,36 +28,30 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Mapping, Optional, Sequence
 
 from .boolean_ideals import (
-    ATOMS,
     BAnd,
     BCompl,
     BNot,
     BOne,
     BOr,
     BVar,
-    BZero,
     BooleanFormula,
     GuardedExists,
     NotZero,
     QuotientBA,
-    TermEq,
-    _children,
-    _map_children,
     _program,
     b_false,
-    expand_guarded,
     free_bvars,
     quotient,
     subst_bvars,
 )
 from .reduced_products import Family, ReducedProduct, project, reduced_product
-from .structures import evaluate
+from .structures import Program, evaluate
 from .syntax import (
     Atomic,
     Dist,
@@ -99,23 +93,29 @@ class DeterminingSequence:
     tm: tuple[int, ...]
     sm: tuple[int, ...]
     zmax: int
-    psi_freevars: tuple[tuple[str, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         L = 2**self.n + 1
         for name, vec in (("sigmas", self.sigmas), ("t", self.t), ("s", self.s), ("tm", self.tm), ("sm", self.sm)):
             if len(vec) != L:
                 raise ValueError(f"{name} must have {L} entries")
-        object.__setattr__(self, "psi_freevars", tuple(tuple(free_vars(psi)) for psi in self.psis))
-        for psi, names in zip(self.psis, self.psi_freevars):
+        for psi in self.psis:
             if not is_restricted(psi):
                 raise ValueError("every subformula must be restricted")
-            if not set(names) <= set(self.freevars):
+            if not set(free_vars(psi)) <= set(self.freevars):
                 raise ValueError("subformula mentions a variable outside the scope")
 
     @property
     def m(self) -> int:
         return len(self.psis)
+
+    @cached_property
+    def programs(self) -> tuple[Program, tuple]:
+        """The program and each psi's node, compiled once, on first read."""
+        P = Program()
+        roots = tuple(map(P.compile, self.psis))
+        del P.nodes, P.shared  # needed only while compiling
+        return P, roots
 
 
 _MEMO: dict[tuple[Formula, int], DeterminingSequence] = {}
@@ -339,23 +339,27 @@ class LevelSets:
 
 def level_sets(ds: DeterminingSequence, fam: Family, abar: Mapping[str, tuple]) -> LevelSets:
     """Threshold sets of each subformula along the family, strict (>)
-    and weak (>=), from exact coordinatewise evaluation."""
+    and weak (>=), from exact coordinatewise evaluation of the compiled
+    psis (`ds.programs`) on one frame per structure."""
     if set(abar) != set(ds.freevars):
         raise ValueError(f"assignment must cover exactly {ds.freevars}")
-    omega = fam.ideal.omega
     N = 2**ds.n
-    strict = []
-    weak = []
-    session: dict = {}  # one evaluate session: psis and coordinates share compiled nodes and sup/inf memos
-    for psi, names in zip(ds.psis, ds.psi_freevars):
-        # v = p/q is above i/N iff i < ceil(pN/q), and at or above it iff i <= floor(pN/q)
-        tops = []
-        for i, g in enumerate(omega):
-            v = evaluate(fam.structures[g], psi, {x: abar[x][i] for x in names}, session)
-            tops.append((g, -(-v.numerator * N // v.denominator), v.numerator * N // v.denominator))
-        strict.append(tuple(frozenset(g for g, up, _ in tops if i < up) for i in range(N + 1)))
-        weak.append(tuple(frozenset(g for g, _, up in tops if i <= up) for i in range(N + 1)))
-    return LevelSets(tuple(strict), tuple(weak))
+    P, roots = ds.programs
+    slots = [(x, P.var(x)) for x in ds.freevars]
+    frames: dict = {}
+    tops: list[list] = [[] for _ in roots]  # per psi, per coordinate: its label, ceil(vN) and floor(vN)
+    for i, g in enumerate(fam.ideal.omega):
+        s = fam.structures[g]
+        frame = frames[s] = P.frame(s, frames.get(s))
+        for x, k in slots:
+            frame[k] = s.ints.pos[abar[x][i]]
+        for (run, e, *_), row in zip(roots, tops):
+            # the value v is x / (D << e), so v > i/N iff i < ceil(xN / (D << e)), and v >= i/N iff i <= floor(...)
+            xn, q = run(frame) * N, s.ints.den << e
+            row.append((g, -(-xn // q), xn // q))
+    strict = tuple(tuple(frozenset(g for g, up, _ in row if i < up) for i in range(N + 1)) for row in tops)
+    weak = tuple(tuple(frozenset(g for g, _, up in row if i <= up) for i in range(N + 1)) for row in tops)
+    return LevelSets(strict, weak)
 
 
 @dataclass(frozen=True)
@@ -516,41 +520,3 @@ def certify_sequence(
             findings.append(Finding("width", None, f"literal window width {width} exceeds 2/2^n"))
 
     return CertifyResult(cx is None, cx, tuple(findings), bounds, direct, ds)
-
-
-# --------------------------------------------------------------------------
-# mutation hooks
-
-
-def count_atoms(sigma: BooleanFormula) -> int:
-    """Atoms of sigma with guarded blocks expanded, as to_prefix prints them."""
-
-    def count(g: BooleanFormula) -> int:
-        return 1 if isinstance(g, ATOMS) else sum(map(count, _children(g)))
-
-    return count(expand_guarded(sigma))
-
-
-def mutate_sigma(sigma: BooleanFormula, index: int) -> BooleanFormula:
-    """Replace the index-th atom (preorder, guarded blocks expanded)
-    by its negation; used to confirm certify catches corruption."""
-    seen = itertools.count()
-
-    def walk(g: BooleanFormula) -> BooleanFormula:
-        if not isinstance(g, ATOMS):
-            return _map_children(g, walk)
-        if next(seen) != index:
-            return g
-        return TermEq(g.arg, BZero()) if isinstance(g, NotZero) else BNot(g)
-
-    out = walk(expand_guarded(sigma))
-    atoms = next(seen)
-    if atoms <= index:
-        raise ValueError(f"sigma has only {atoms} atoms")
-    return out
-
-
-def mutate_ds(ds: DeterminingSequence, ell: int, atom_index: int) -> DeterminingSequence:
-    sigmas = list(ds.sigmas)
-    sigmas[ell] = mutate_sigma(sigmas[ell], atom_index)
-    return replace(ds, sigmas=tuple(sigmas))

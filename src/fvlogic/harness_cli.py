@@ -442,15 +442,16 @@ def suite_preservation(seed: int, cases: int = 100) -> SuiteReport:
         rpB = reduced_product(famB)
         principal = len(fam.ideal.core) == 1
         gamma0 = fam.ideal.core[0] if principal else None
+        session: dict = {}  # each sentence compiles once for the case's products and coordinate
         for j, sent in enumerate(bat.sentences):
             case = f"preservation:{i:03d}:{j:03d}:{to_text(sent)}"
-            va = evaluate(rpA.structure, sent)
-            vb = evaluate(rpB.structure, sent)
+            va = evaluate(rpA.structure, sent, None, session)
+            vb = evaluate(rpB.structure, sent, None, session)
             if va != vb:
                 failures.append(Failure(case, f"values differ: {va} vs {vb}"))
                 continue
             if principal:
-                vc = evaluate(fam.structures[gamma0], sent)
+                vc = evaluate(fam.structures[gamma0], sent, None, session)
                 if va != vc:
                     failures.append(Failure(case, f"ultraproduct value {va} differs from coordinate value {vc}"))
             if not _gated_cost(sent, 1)[2]:
@@ -490,10 +491,11 @@ def suite_quotient_equiv(seed: int) -> SuiteReport:
     for name, ideal1, ideal2 in pairs:
         rp1 = reduced_product(_power(A, ideal1))
         rp2 = reduced_product(_power(A, ideal2))
+        session: dict = {}  # each sentence compiles once for both powers
         for j, sent in enumerate(bat.sentences):
             count += 1
-            v1 = evaluate(rp1.structure, sent)
-            v2 = evaluate(rp2.structure, sent)
+            v1 = evaluate(rp1.structure, sent, None, session)
+            v2 = evaluate(rp2.structure, sent, None, session)
             if v1 != v2:
                 failures.append(
                     Failure(f"quotient:{name}:{j:03d}:{to_text(sent)}", f"values differ: {v1} vs {v2}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
-from .boolean_ideals import IdealSpec, fubini, ideal_from_json, ideal_to_json, limsup_ideal
+from .boolean_ideals import IdealSpec, fubini, ideal_from_json, limsup_ideal
 from .structures import MAX_UNIVERSE, FiniteStructure, Point, evaluate, from_json as structure_from_json, map_failures, to_json as structure_to_json, validate
 from .syntax import Atomic, Dist, Formula, Signature, free_vars
 
@@ -178,11 +178,12 @@ def atomic_limsup_check(
     omega = fam.ideal.omega
     names = free_vars(phi)
     left_env = {v: project(rp, assignment[v]) for v in names}
-    left = evaluate(rp.structure, phi, left_env)
+    session: dict = {}  # phi compiles once for the product and the coordinates
+    left = evaluate(rp.structure, phi, left_env, session)
     coord_vals: dict[Any, Fraction] = {}
     for i, g in enumerate(omega):
         env = {v: assignment[v][i] for v in names}
-        coord_vals[g] = evaluate(fam.structures[g], phi, env)
+        coord_vals[g] = evaluate(fam.structures[g], phi, env, session)
     right = limsup_ideal(fam.ideal, coord_vals)
     return left == right
 
@@ -238,13 +239,6 @@ def fubini_iso(A: FiniteStructure, inner: IdealSpec, outer: IdealSpec) -> Fubini
 
 # --------------------------------------------------------------------------
 # serialization
-
-
-def family_to_json(fam: Family) -> dict:
-    return {
-        "ideal": ideal_to_json(fam.ideal),
-        "structures": {str(g): structure_to_json(fam.structures[g]) for g in fam.ideal.omega},
-    }
 
 
 def family_documents(doc: Mapping) -> tuple[IdealSpec, Mapping[str, Mapping]]:

@@ -248,103 +248,147 @@ def map_failures(S: FiniteStructure, T: FiniteStructure, rho: Mapping[Point, Poi
 # evaluation
 
 
-# A compiled node: a closure from an env of variable positions to an int x (a
-# position, for a term), the exponent e of its value x / (D * 2^e), its free
-# variables in first-occurrence order, and the node itself, so its id is not reused.
-_Node = tuple[Callable[[dict], int], int, tuple[str, ...], Any]
+# A compiled node: a closure from a frame to an int x (a position, for a
+# term), the exponent e of its value x / (D * 2^e), its free variables in
+# first-occurrence order, and the node itself, so its id is not reused.
+_Node = tuple[Callable[[list], int], int, tuple[str, ...], Any]
+
+# A frame's first slots hold the universe size, D and the distance matrix.
+_SIZE, _DEN, _DIST = range(3)
+_FIRST_FILLS = (lambda T: len(T.pos), operator.attrgetter("den"), operator.attrgetter("dist"))
+_none: Callable[[Any], None] = lambda x: None  # a variable slot's fill; the memo key of a closed node
+_fresh: Callable[[Any], dict] = lambda x: {}  # a memo slot's fill
 
 
-def _lookup(table: list, n: int, args: Sequence[_Node]) -> Callable[[dict], int]:
-    """The entry of a flat table at the positions of args, read in base n."""
+class Program:
+    """Metric formulas compiled to closures that hold no structure: they read
+    the tables, the variables' positions and the sup/inf memos from a frame,
+    a list with one slot each, that `frame(s)` fills from `s.ints`. Nodes are
+    kept by id, never hashed by value, and keep their formulas alive, so no
+    id is reused; structurally equal nodes share one closure and memo."""
+
+    def __init__(self) -> None:
+        self.nodes: dict[int, _Node] = {}
+        self.shared: dict[tuple, tuple] = {}  # keyed on (class, head, children's closures and exponents)
+        self.slots: dict[tuple, int] = {}
+        self.fills: list[Callable[[IntTables], Any]] = list(_FIRST_FILLS)
+
+    def slot(self, key: Optional[tuple], fill: Callable[["IntTables"], Any] = _none) -> int:
+        """key's slot, added with its fill on first use; key None adds a slot of its own."""
+        if key is None or key not in self.slots:
+            self.fills.append(fill)
+            self.slots[key] = len(self.fills) - 1
+        return self.slots[key]
+
+    def var(self, name: str) -> int:
+        return self.slot(("var", name))
+
+    def frame(self, s: FiniteStructure, frame: Optional[list] = None) -> list:
+        """A frame for s, or `frame` extended by the slots added since it was filled."""
+        frame = [] if frame is None else frame
+        frame += [fill(s.ints) for fill in self.fills[len(frame) :]]
+        return frame
+
+    def compile(self, g: Formula | Term) -> _Node:
+        """g's node, from `nodes` or compiled into it. a -. (a -. b) with one
+        object a, as normalize_restricted writes min(a, b), compiles as
+        min(a, b): a runs once, so a left-nested min chain costs its length
+        and not 2^length."""
+        got = self.nodes.get(id(g))
+        if got is None:
+            h = g
+            if type(g) is sx.Monus and type(g.right) is sx.Monus and g.right.left is g.left:
+                h = sx.Min(g.left, g.right.right)
+            kids = [self.compile(c) for c in sx.children(h)]
+            key = (type(h), sx.head_of(h), *[k[:2] for k in kids])
+            shared = self.shared.get(key)
+            if shared is None:
+                names = kids[0][2] if len(kids) == 1 else tuple(dict.fromkeys(itertools.chain(*[k[2] for k in kids])))
+                if type(h) is sx.Var:
+                    names = (h.name,)
+                elif type(h) in (sx.Sup, sx.Inf) and h.var in names:
+                    names = tuple(v for v in names if v != h.var)
+                shared = self.shared[key] = (*_COMPILE[type(h)](self, h, names, *kids), names)
+            got = self.nodes[id(g)] = (*shared, g)
+        return got
+
+
+def _lookup(t: int, args: Sequence[_Node]) -> tuple[Callable[[list], int], int]:
+    """The entry of the flat table in slot t at args, read in base |universe|."""
     runs = [x[0] for x in args]
     if len(runs) == 1:
-        return lambda env, a=runs[0]: table[a(env)]
+        return (lambda env, t=t, a=runs[0]: env[t][a(env)]), 0
     if len(runs) == 2:
-        return lambda env, a=runs[0], b=runs[1]: table[a(env) * n + b(env)]
-    return lambda env: table[functools.reduce(lambda i, r: i * n + r(env), runs, 0)]
+        return (lambda env, t=t, a=runs[0], b=runs[1]: env[t][a(env) * env[_SIZE] + b(env)]), 0
+    return (lambda env: env[t][functools.reduce(lambda i, r: i * env[_SIZE] + r(env), runs, 0)]), 0
 
 
-def _aligned(T: "IntTables", g: Formula, names: tuple[str, ...], a: _Node, b: _Node) -> tuple[Callable[[dict], int], int]:
+def _aligned(P: Program, g: Formula, names: tuple[str, ...], a: _Node, b: _Node) -> tuple[Callable[[list], int], int]:
     """-., min or max over the larger of the children's exponents; the child
     with the smaller one is shifted left inside g's closure, in no frame of
-    its own. a -. b is a - min(a, b)."""
+    its own. The comparison is inline: a call to min or max costs twice as much."""
     (x, ea, *_), (y, eb, *_) = a, b
     e = max(ea, eb)
     i, j = e - ea, e - eb
     if type(g) is sx.Monus:
-        return (lambda env: (p := x(env) << i) - min(p, y(env) << j)), e
-    op = min if type(g) is sx.Min else max
-    return (lambda env: op(x(env) << i, y(env) << j)), e
+        return (lambda env, x=x, y=y, i=i, j=j: p - q if (p := x(env) << i) > (q := y(env) << j) else 0), e
+    if type(g) is sx.Min:
+        return (lambda env, x=x, y=y, i=i, j=j: p if (p := x(env) << i) < (q := y(env) << j) else q), e
+    return (lambda env, x=x, y=y, i=i, j=j: p if (p := x(env) << i) > (q := y(env) << j) else q), e
 
 
-def _quantifier(T: "IntTables", g: sx.Sup | sx.Inf, names: tuple[str, ...], body: _Node) -> tuple[Callable[[dict], int], int]:
-    """max (sup) or min (inf) of the body over the positions, memoized on
-    the values of g's free variables."""
-    inner, var, points, memo, agg = body[0], g.var, range(len(T.pos)), {}, (max if type(g) is sx.Sup else min)
-    key = operator.itemgetter(*names) if names else (lambda env: None)
+def _quantifier(P: Program, g: sx.Sup | sx.Inf, names: tuple[str, ...], body: _Node) -> tuple[Callable[[list], int], int]:
+    """max (sup) or min (inf) of the body over the positions, memoized in
+    the frame on the positions of g's free variables."""
+    key = operator.itemgetter(*map(P.var, names)) if names else _none
 
-    def run(env: dict) -> int:
-        k = key(env)
+    def run(env: list, inner=body[0], v=P.var(g.var), m=P.slot(None, _fresh), key=key, agg=max if type(g) is sx.Sup else min) -> int:
+        memo, k = env[m], key(env)
         got = memo.get(k)
         if got is None:
-            saved = env.get(var)  # a position, or None when var is not bound outside g
-            got = memo[k] = agg([inner(env) for env[var] in points])  # var takes each position in turn
-            if saved is not None:
-                env[var] = saved
+            saved = env[v]
+            got = memo[k] = agg([inner(env) for env[v] in range(env[_SIZE])])  # v takes each position in turn
+            env[v] = saved
         return got
 
     return run, body[1]
 
 
-# Each node class's compiler: from the structure's int tables T, the node g,
-# its free variables and its compiled children to (closure, exponent).
-_COMPILE: dict[type, Callable[..., tuple[Callable[[dict], int], int]]] = {
-    sx.Var: lambda T, g, names: (operator.itemgetter(g.name), 0),
-    sx.Const: lambda T, g, names: ((lambda env, p=T.consts[g.name]: p), 0),
-    sx.Apply: lambda T, g, names, *args: (_lookup(T.funcs[g.func], len(T.pos), args), 0),
-    sx.Atomic: lambda T, g, names, *args: (_lookup(T.preds[g.pred], len(T.pos), args), 0),
-    sx.Dist: lambda T, g, names, a, b: ((lambda env, D=T.dist, x=a[0], y=b[0]: D[x(env)][y(env)]), 0),
-    sx.Zero: lambda T, g, names: ((lambda env: 0), 0),
-    sx.One: lambda T, g, names: ((lambda env, x=T.den: x), 0),
-    sx.DyadicConst: lambda T, g, names: ((lambda env, x=g.num * T.den: x), g.denom_log2),
-    sx.Half: lambda T, g, names, a: (a[0], a[1] + 1),
-    sx.Neg: lambda T, g, names, a: ((lambda env, x=a[0], top=T.den << a[1]: top - x(env)), a[1]),
+# Each node class's compiler: from the program P, the node g, its free
+# variables and its compiled children to (closure, exponent).
+_COMPILE: dict[type, Callable[..., tuple[Callable[[list], int], int]]] = {
+    sx.Var: lambda P, g, names: (operator.itemgetter(P.var(g.name)), 0),
+    sx.Const: lambda P, g, names: (operator.itemgetter(P.slot(("const", g.name), lambda T, c=g.name: T.consts.get(c))), 0),
+    sx.Apply: lambda P, g, names, *args: _lookup(P.slot(("func", g.func), lambda T, k=g.func: T.funcs.get(k)), args),
+    sx.Atomic: lambda P, g, names, *args: _lookup(P.slot(("pred", g.pred), lambda T, k=g.pred: T.preds.get(k)), args),
+    sx.Dist: lambda P, g, names, a, b: ((lambda env, x=a[0], y=b[0]: env[_DIST][x(env)][y(env)]), 0),
+    sx.Zero: lambda P, g, names: ((lambda env: 0), 0),
+    sx.One: lambda P, g, names: (operator.itemgetter(_DEN), 0),
+    sx.DyadicConst: lambda P, g, names: ((lambda env, p=g.num: p * env[_DEN]), g.denom_log2),
+    sx.Half: lambda P, g, names, a: (a[0], a[1] + 1),
+    sx.Neg: lambda P, g, names, a: ((lambda env, x=a[0], e=a[1]: (env[_DEN] << e) - x(env)), a[1]),
     **dict.fromkeys((sx.Monus, sx.Min, sx.Max), _aligned),
     **dict.fromkeys((sx.Sup, sx.Inf), _quantifier),
 }
 
 
-def _compile(T: "IntTables", g: Formula | Term, nodes: dict[int, _Node]) -> _Node:
-    """g's node, from `nodes` (keyed by id) or compiled into it. a -. (a -. b)
-    with one object a, as normalize_restricted writes min(a, b), compiles
-    as min(a, b): a runs once, so a left-nested min chain costs its length
-    and not 2^length."""
-    got = nodes.get(id(g))
-    if got is None:
-        h = g
-        if type(g) is sx.Monus and type(g.right) is sx.Monus and g.right.left is g.left:
-            h = sx.Min(g.left, g.right.right)
-        kids = [_compile(T, c, nodes) for c in sx.children(h)]
-        names = kids[0][2] if len(kids) == 1 else tuple(dict.fromkeys(itertools.chain(*[k[2] for k in kids])))
-        if type(h) is sx.Var:
-            names = (h.name,)
-        elif type(h) in (sx.Sup, sx.Inf) and h.var in names:
-            names = tuple(v for v in names if v != h.var)
-        got = nodes[id(g)] = (*_COMPILE[type(h)](T, h, names, *kids), names, g)
-    return got
-
-
 def evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] = None, session: Optional[dict] = None) -> Fraction:
     """Evaluate `f` in `s` under `val`, exactly. Handles derived connectives
-    directly, so it can serve as the oracle for normalization. `f` is
-    compiled to int closures over `s.ints`; calls that pass one `session`
-    dict share, per structure, the compiled nodes and their memos."""
-    T = s.ints
-    run, e, names, _ = _compile(T, f, {} if session is None else session.setdefault(s, {}))
+    directly, so it can serve as the oracle for normalization. Calls that
+    pass one `session` dict share one `Program` (at the key `Program`), so f
+    compiles once for all their structures, and one frame, with its sup/inf
+    memos, per structure (at the structure)."""
+    session = {} if session is None else session
+    P = session.get(Program) or session.setdefault(Program, Program())
+    run, e, names, _ = P.compile(f)
     missing = [v for v in names if v not in (val or {})]
     if missing:
         raise ValueError(f"unbound variable {missing[0]!r}")
-    return Fraction(run({v: T.pos[val[v]] for v in names}), T.den << e)
+    frame = session[s] = P.frame(s, session.get(s))
+    T = s.ints
+    for v in names:
+        frame[P.var(v)] = T.pos[val[v]]
+    return Fraction(run(frame), T.den << e)
 
 
 # --------------------------------------------------------------------------

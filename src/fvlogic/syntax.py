@@ -111,14 +111,6 @@ class Signature:
         return name in self.consts
 
 
-def signature_to_json(sig: Signature) -> dict:
-    return {
-        "preds": [{"name": p.name, "arity": p.arity, "lipschitz": format_fraction(p.lipschitz)} for p in sig.preds],
-        "funcs": [{"name": f.name, "arity": f.arity, "lipschitz": format_fraction(f.lipschitz)} for f in sig.funcs],
-        "consts": list(sig.consts),
-    }
-
-
 def signature_from_json(doc: Mapping) -> Signature:
     """Read a signature document; one of the wrong shape raises ValueError."""
     if not isinstance(doc, dict):
@@ -336,10 +328,15 @@ def free_vars(f: Formula | Term) -> list[str]:
 # printer
 
 
+def head_of(g: Formula | Term) -> str:
+    """g's printed head: its connective, symbol, bound variable or constant."""
+    return _NODES[type(g)][0].format(g=g)
+
+
 def to_text(g: Formula | Term) -> str:
     """The text `parse` reads back as g; g may be a bare term."""
     kids = children(g)
-    head = _NODES[type(g)][0].format(g=g)
+    head = head_of(g)
     if isinstance(g, Monus):
         wrap = ((Sup, Inf), (Sup, Inf, Monus))  # -. associates to the left
         left, right = (f"({to_text(c)})" if isinstance(c, w) else to_text(c) for c, w in zip(kids, wrap))

@@ -49,6 +49,7 @@ from fvlogic.syntax import (
     normalize_restricted,
     to_text,
 )
+from helpers import count_atoms, mutate_ds
 from test_fv_translator import pad_shift_check
 
 SEED = 42
@@ -330,9 +331,9 @@ def test_criterion_11_mutation_sensitivity(capsys):
     for f, n in samples:
         ds = fvt.translate(normalize_restricted(f), n)
         for ell in range(len(ds.sigmas)):
-            for a in range(fvt.count_atoms(ds.sigmas[ell])):
+            for a in range(count_atoms(ds.sigmas[ell])):
                 flips += 1
-                mutated = fvt.mutate_ds(ds, ell, a)
+                mutated = mutate_ds(ds, ell, a)
                 if not any(not fvt.certify_sequence(mutated, f, fam, {}).ok for fam in fams):
                     undetected.append((to_text(f), n, ell, a))
     ok = not undetected

@@ -32,7 +32,6 @@ from fvlogic.boolean_ideals import (
     TermEq,
     TermLe,
     b_false,
-    b_true,
     ba_eval,
     close_ideal,
     expand_guarded,
@@ -50,6 +49,7 @@ from fvlogic.boolean_ideals import (
     trivial_ideal,
 )
 from fvlogic.syntax import normalize_restricted
+from helpers import b_true
 
 
 def fs(*items):
@@ -849,6 +849,45 @@ def test_exhaustive_route_is_bounded_by_table_size(monkeypatch, k, v, exhaustive
     f = BAnd(tuple(NotZero(BVar(f"y{i}")) for i in range(v)))
     assert is_monotone(f, B)
     assert _Budget.last.count == (1 << k * v if exhaustive else 2_000)
+
+
+# is_monotone's exhaustive check as it was before it went bit-parallel: the
+# loop is verbatim, with the table's bit width k * len(names) as `width`.
+def reference_monotone_table(truth: bytes, width: int) -> bool:
+    return not any(
+        truth[idx] and any(not idx >> b & 1 and not truth[idx | 1 << b] for b in range(width))
+        for idx in range(len(truth))
+    )
+
+
+def random_tables(rng: random.Random, count: int):
+    """Seeded truth tables of 0..12 bits: up-closures of a few random
+    entries (monotone), the same with one entry flipped, and random tables
+    true at rate 0.9 or 0.5 (rarely monotone)."""
+    for _ in range(count):
+        width = rng.randint(0, 12)
+        size = 1 << width
+        kind = rng.randrange(4)
+        if kind < 2:
+            gens = [rng.randrange(size) for _ in range(rng.randint(0, 4))]
+            truth = bytearray(any(idx & g == g for g in gens) for idx in range(size))
+            if kind == 1:
+                truth[rng.randrange(size)] ^= 1
+        else:
+            p = 0.9 if kind == 2 else 0.5
+            truth = bytearray(rng.random() < p for _ in range(size))
+        yield truth, width
+
+
+def test_monotone_table_matches_reference():
+    verdicts = []
+    for truth, width in random_tables(random.Random(17), 600):
+        got = bi._monotone_table(truth, width)
+        assert got == reference_monotone_table(truth, width), (width, truth.hex())
+        verdicts.append(got)
+    assert 200 < sum(verdicts) < 450
+    assert bi._monotone_table(bytearray([1]) * (1 << 18), 18)
+    assert not bi._monotone_table(bytearray([1]) * ((1 << 18) - 1) + bytearray([0]), 18)
 
 
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as hs
 
 from fvlogic import fv_translator as fv
 from fvlogic import harness_cli as hc
+from fvlogic import structures as st
 from fvlogic.boolean_ideals import (
     BAnd,
     BCompl,
@@ -38,11 +39,8 @@ from fvlogic.fv_translator import (
     LevelSets,
     certify,
     certify_sequence,
-    count_atoms,
     fv_bounds,
     level_sets,
-    mutate_ds,
-    mutate_sigma,
     translate,
     translation_cost,
     yname,
@@ -64,11 +62,14 @@ from fvlogic.syntax import (
     Sup,
     Var,
     Zero,
+    free_vars,
     normalize_restricted,
     parse,
     to_text,
 )
+from helpers import count_atoms, mutate_ds, mutate_sigma
 from test_boolean_ideals import reference_ba_eval
+from test_structures import reference_evaluate
 
 PSIG = Signature(preds=(PredSym("P", 1, Fraction(1)),), consts=("c",))
 PQSIG = Signature(preds=(PredSym("P", 1, Fraction(1)), PredSym("Q", 1, Fraction(1))))
@@ -351,6 +352,10 @@ def test_level_sets_rejects_wrong_assignment():
         level_sets(ds, fam, {"x": ("o", "o", "o")})
 
 
+# level_sets as it was when it evaluated each psi through one evaluate
+# session per call, kept verbatim but for the evaluator (reference_evaluate,
+# the Fraction walker, which takes no session) and for each psi's free
+# variables, which the sequence no longer stores.
 def reference_level_sets(ds: DeterminingSequence, fam: Family, abar: Mapping[str, tuple]) -> LevelSets:
     """Threshold sets of each subformula along the family, strict (>)
     and weak (>=), from exact coordinatewise evaluation."""
@@ -360,13 +365,14 @@ def reference_level_sets(ds: DeterminingSequence, fam: Family, abar: Mapping[str
     N = 2**ds.n
     strict = []
     weak = []
-    for psi, names in zip(ds.psis, ds.psi_freevars):
-        vals = {}
+    for psi, names in zip(ds.psis, map(free_vars, ds.psis)):
+        # v = p/q is above i/N iff i < ceil(pN/q), and at or above it iff i <= floor(pN/q)
+        tops = []
         for i, g in enumerate(omega):
-            env = {v: abar[v][i] for v in names}
-            vals[g] = evaluate(fam.structures[g], psi, env)
-        strict.append(tuple(frozenset(g for g in omega if vals[g] > Fraction(i, N)) for i in range(N + 1)))
-        weak.append(tuple(frozenset(g for g in omega if vals[g] >= Fraction(i, N)) for i in range(N + 1)))
+            v = reference_evaluate(fam.structures[g], psi, {x: abar[x][i] for x in names})
+            tops.append((g, -(-v.numerator * N // v.denominator), v.numerator * N // v.denominator))
+        strict.append(tuple(frozenset(g for g, up, _ in tops if i < up) for i in range(N + 1)))
+        weak.append(tuple(frozenset(g for g, _, up in tops if i <= up) for i in range(N + 1)))
     return LevelSets(tuple(strict), tuple(weak))
 
 
@@ -413,6 +419,23 @@ def test_level_sets_match_reference_on_random_families(battery_sequences):
     assert sum(len({fam.structures[g].universe for g in fam.ideal.omega}) < len(fam.ideal.omega) for fam in fams) == 2
     for fam in fams:
         assert_level_sets_match_reference(battery_sequences, fam, lambda i, U: points.choice(U))
+
+
+def test_level_sets_compiles_each_psi_once_per_sequence(battery_sequences, monkeypatch):
+    # fresh copies, so no program is cached yet; the first call compiles the
+    # psis, and a call on another family, with other structures, compiles none
+    seqs = [replace(ds) for ds in battery_sequences if not ds.freevars]
+    fam1, fam2 = (hc.random_family(hc.BATTERY_SIG, random.Random(seed)) for seed in (3, 4))
+    assert not {id(s) for s in fam1.structures.values()} & {id(s) for s in fam2.structures.values()}
+    compiled = []
+    honest = st.Program.compile
+    monkeypatch.setattr(st.Program, "compile", lambda P, g: compiled.append(g) or honest(P, g))
+    first = [level_sets(ds, fam1, {}) for ds in seqs]
+    assert len(compiled) >= sum(ds.m for ds in seqs)
+    compiled.clear()
+    assert [level_sets(ds, fam2, {}) for ds in seqs] == [reference_level_sets(ds, fam2, {}) for ds in seqs]
+    assert [level_sets(ds, fam1, {}) for ds in seqs] == first
+    assert compiled == []
 
 
 def test_evaluate_session_keeps_dropped_formulas_apart():

@@ -13,7 +13,7 @@ import pytest
 
 from fvlogic import harness_cli as hc
 from fvlogic.boolean_ideals import close_ideal, principal_max_ideal, trivial_ideal
-from fvlogic.reduced_products import MAX_PRODUCT_POINTS, Family, family_to_json, reduced_product
+from fvlogic.reduced_products import MAX_PRODUCT_POINTS, Family, reduced_product
 from fvlogic.structures import evaluate, from_json, from_json as structure_from_json, random_structure, to_json, validate
 from fvlogic.syntax import (
     Atomic,
@@ -30,9 +30,9 @@ from fvlogic.syntax import (
     free_vars,
     is_restricted,
     parse,
-    signature_to_json,
     to_text,
 )
+from helpers import family_to_json, signature_to_json
 
 CAPS = hc.load_caps()
 DATA = Path(__file__).resolve().parent / "data"

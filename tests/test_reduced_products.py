@@ -15,6 +15,7 @@ from fvlogic.boolean_ideals import close_ideal, limsup_ideal, principal_max_idea
 from fvlogic.reduced_products import MAX_PRODUCT_POINTS, Family
 from fvlogic.structures import MAX_UNIVERSE, FiniteStructure, Point, from_json, random_structure, to_json, validate
 from fvlogic.syntax import FuncSym, PredSym, Signature, parse
+from helpers import family_to_json
 
 SIG = Signature(preds=(PredSym("P", 1, Fraction(3, 2)),))
 UNARY = Signature(
@@ -274,7 +275,7 @@ def test_fubini_with_functions():
 
 def test_family_json_round_trip():
     fam = rp.Family(close_ideal(("1", "2"), [{"1"}]), {"1": two_pt(), "2": two_pt()})
-    doc = rp.family_to_json(fam)
+    doc = family_to_json(fam)
     back = rp.family_from_json(doc, SIG)
     assert back.ideal == fam.ideal
     for g in fam.ideal.omega:

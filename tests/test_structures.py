@@ -722,7 +722,17 @@ def test_evaluate_session_keeps_structures_on_one_universe_apart():
     got = [[st.evaluate(s, f, None, session) for s in (s1, s2)] for f in fs for _ in range(2)]
     assert got == [[reference_evaluate(s, f) for s in (s1, s2)] for f in fs for _ in range(2)]
     assert sum(a != b for a, b in got) >= len(got) // 2
-    assert set(session) == {s1, s2}
+    # one compiled program, and a frame of its own tables and memos per structure
+    assert set(session) == {st.Program, s1, s2}
+    P = session[st.Program]
+    alone: dict = {}
+    for f in fs:
+        st.evaluate(s1, f, None, alone)
+    assert len(P.nodes) == len(alone[st.Program].nodes)
+    for s, other in ((s1, s2), (s2, s1)):
+        assert any(x is s.ints.dist for x in session[s]) and not any(x is other.ints.dist for x in session[s])
+    memos = [i for i, x in enumerate(session[s1]) if isinstance(x, dict)]
+    assert memos and all(session[s1][i] is not session[s2][i] for i in memos)
 
 
 PROPERTY_STRUCTURES = [st.random_structure(SYNTAX_SIG, size, seed) for size in range(1, 5) for seed in (0, 1)]

@@ -33,6 +33,7 @@ from fvlogic.syntax import (
     parse,
     to_text,
 )
+from helpers import signature_to_json
 
 SIG = Signature(
     preds=(PredSym("P", 1, Fraction(1)), PredSym("R", 2, Fraction(1, 2))),
@@ -189,7 +190,7 @@ def test_fraction_io():
 
 
 def test_signature_json_round_trip():
-    doc = sx.signature_to_json(SIG)
+    doc = signature_to_json(SIG)
     assert doc["preds"][0] == {"name": "P", "arity": 1, "lipschitz": "1/1"}
     assert sx.signature_from_json(doc) == SIG
 
