@@ -404,15 +404,6 @@ def subst_bvars(f: BooleanFormula, table: Mapping[str, BTerm]) -> BooleanFormula
     return walk(f, frozenset())
 
 
-def expand_guarded(f: BooleanFormula) -> BooleanFormula:
-    """Recursively replace every guarded block by its raw expansion."""
-    if isinstance(f, GuardedExists):
-        return expand_guarded(f.expand_raw())
-    if isinstance(f, ATOMS):
-        return f
-    return _map_children(f, expand_guarded)
-
-
 def to_prefix(f: BNode) -> str:
     """Serialize in prefix notation; guarded blocks expand to plain
     existentials so the output uses only the core grammar."""

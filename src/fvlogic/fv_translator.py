@@ -27,7 +27,6 @@ makes the shifted form exact.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -79,9 +78,6 @@ def zname(k: int, i: int) -> str:
     return f"z[{k}][{i}]"
 
 
-_YVAR = re.compile(r"^y\[(\d+)\]\[(\d+)\]$")
-
-
 @dataclass(frozen=True)
 class DeterminingSequence:
     n: int
@@ -127,14 +123,6 @@ def _zero_vec(L: int) -> tuple[int, ...]:
     return (0,) * L
 
 
-def _reads_only_level0(sigma: BooleanFormula) -> bool:
-    for v in free_bvars(sigma):
-        m = _YVAR.match(v)
-        if m and int(m.group(2)) != 0:
-            return False
-    return True
-
-
 def translate(f: Formula, n: int) -> DeterminingSequence:
     """Structural recursion over the restricted connectives; memoized."""
     if n < 0:
@@ -168,7 +156,7 @@ def _translate_half(f: Half, n: int, fv: tuple[str, ...], child: DeterminingSequ
     if n == 0:
         psis = tuple(Half(p) for p in child.psis)
         s0 = _ceil_half(child.s[0])
-        if not _reads_only_level0(child.sigmas[0]):
+        if not set(free_bvars(child.sigmas[0])) <= {yname(j, 0) for j in range(child.m)}:
             # the parent's weak level-1 sets are empty while the child's
             # need not be, so a level-1 read invalidates the inherited
             # weak guarantee; bumping the slack past 1/2^0 makes B vacuous
@@ -426,13 +414,6 @@ def _window(ds: DeterminingSequence, sat_strict: Sequence[bool], sat_weak: Seque
 
 
 @dataclass(frozen=True)
-class Finding:
-    kind: str
-    ell: Optional[int]
-    detail: str
-
-
-@dataclass(frozen=True)
 class Counterexample:
     check: str
     ell: int
@@ -445,7 +426,7 @@ class Counterexample:
 class CertifyResult:
     ok: bool
     counterexample: Optional[Counterexample]
-    findings: tuple[Finding, ...]
+    findings: tuple[str, ...]  # the literal window is wider than 2/2^n
     bounds: FVBounds
     direct: Fraction
     ds: DeterminingSequence
@@ -513,10 +494,10 @@ def certify_sequence(
     if cx is None and not (bounds.cert_lower < direct <= bounds.cert_upper):
         cx = fail("D", -1, bounds.cert_lower, f"direct value outside ({bounds.cert_lower}, {bounds.cert_upper}]")
 
-    findings: list[Finding] = []
+    findings: list[str] = []
     if bounds.ell_tilde is not None:
         width = bounds.upper - Fraction(bounds.ell_tilde - 1, N)
         if width > Fraction(2, N):
-            findings.append(Finding("width", None, f"literal window width {width} exceeds 2/2^n"))
+            findings.append(f"literal window width {width} exceeds 2/2^n")
 
     return CertifyResult(cx is None, cx, tuple(findings), bounds, direct, ds)

@@ -389,13 +389,12 @@ def suite_fv(
                     collect_sigmas.update(cr.ds.sigmas)
                 if not cr.ok:
                     failures.append(Failure(f"{case}#{slot}", str(cr.counterexample)))
-                for finding in cr.findings:
-                    if finding.kind == "width":
-                        findings.append(
-                            f"{case}#{slot} width: {finding.detail};"
-                            f" ideal core {sorted(map(str, fam.ideal.core))},"
-                            f" window ({cr.bounds.lower_strict}, {cr.bounds.upper}], tilde {cr.bounds.ell_tilde}"
-                        )
+                for detail in cr.findings:
+                    findings.append(
+                        f"{case}#{slot} width: {detail};"
+                        f" ideal core {sorted(map(str, fam.ideal.core))},"
+                        f" window ({cr.bounds.lower_strict}, {cr.bounds.upper}], tilde {cr.bounds.ell_tilde}"
+                    )
         reports.append(
             _finish(f"fv(depth={depth}, n={n})", seed, len(bat.sentences), failures, findings, skipped, started)
         )

@@ -58,7 +58,8 @@ class FiniteStructure:
 
     @functools.cached_property
     def ints(self) -> "IntTables":
-        """The tables on positions, built on first read and kept."""
+        """The tables on positions, built on first read and kept: the one place
+        the structure's Fractions become ints."""
         U = self.universe
         pos = {a: i for i, a in enumerate(U)}
         flat = lambda table, arity: [table[t] for t in itertools.product(U, repeat=arity)]
@@ -85,37 +86,22 @@ class IntTables(NamedTuple):
     consts: dict[str, int]
 
 
-def _on_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm of the values' denominators, and their numerators over it."""
-    den = math.lcm(*(v.denominator for v in values))
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
-def _int_dist(U: tuple, dist: Mapping[tuple[Point, Point], Fraction]) -> tuple[int, list[list[int]]]:
-    """The distances as a position-indexed integer matrix over one denominator."""
-    dd, flat = _on_lcm([dist[(a, b)] for a in U for b in U])
-    return dd, [flat[i : i + len(U)] for i in range(0, len(flat), len(U))]
-
-
-def _rows(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list, lip: Fraction) -> Iterator[tuple[list, list]]:
+def _rows(D: list[list[int]], sym: PredSym | FuncSym, values: list[int], lip: Fraction) -> Iterator[tuple[list, list]]:
     """For each position tuple ta of `sym`'s arity, in product order, two
     integer rows over the tuples tb after it: the gaps |P(ta) - P(tb)|
     (d(f(ta), f(tb)) for a function) and the max-metric distances rho,
-    on the distance matrix D over denominator dd. `values` holds a
-    predicate's values or a function's image positions in the same
-    order. Both rows are scaled so that gap > rho exactly when the true
-    gap exceeds lip times the true rho, and gap / rho is their ratio
-    over lip."""
+    on the distance matrix D. `values` holds a predicate's values, over
+    D's denominator, or a function's image positions, in the same order.
+    Both rows are scaled so that gap > rho exactly when the true gap
+    exceeds lip times the true rho, and gap / rho is their ratio over lip."""
+    q = lip.denominator
     if isinstance(sym, PredSym):
-        # scaled by dp * dd * lip.denominator
-        dp, vals = _on_lcm(values)
-        vals = [x * dd * lip.denominator for x in vals]
-        k, gaps = lip.numerator * dp, lambda i: [abs(vals[i] - y) for y in vals[i + 1 :]]
+        vals = [x * q for x in values]
+        gaps = lambda i: [abs(vals[i] - y) for y in vals[i + 1 :]]
     else:
-        # scaled by dd * lip.denominator
-        rows = [[x * lip.denominator for x in row] for row in D]
-        k, gaps = lip.numerator, lambda i: [rows[values[i]][y] for y in values[i + 1 :]]
-    Dk = [[k * x for x in row] for row in D]
+        rows = [[x * q for x in row] for row in D]
+        gaps = lambda i: [rows[values[i]][y] for y in values[i + 1 :]]
+    Dk = [[lip.numerator * x for x in row] for row in D]
     for i, ta in enumerate(itertools.product(range(len(D)), repeat=sym.arity)):
         rho = Dk[ta[0]]
         for x in ta[1:]:
@@ -123,25 +109,25 @@ def _rows(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list, lip
         yield gaps(i), rho[i + 1 :]
 
 
-def _lipschitz_break(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list) -> Optional[tuple[tuple, tuple]]:
+def _lipschitz_break(D: list[list[int]], sym: PredSym | FuncSym, values: list[int]) -> Optional[tuple[tuple, tuple]]:
     """First pair (ta, tb) of position tuples, ta before tb in product
     order, that breaks `sym`'s modulus, or None; arguments as for
     `_rows`. The condition is symmetric and never fails on (t, t), so
     this scan of unordered pairs finds the first witness of a scan over
     all ordered pairs."""
     tups = list(itertools.product(range(len(D)), repeat=sym.arity))
-    for i, (gaps, rho) in enumerate(_rows(D, dd, sym, values, sym.lipschitz)):
+    for i, (gaps, rho) in enumerate(_rows(D, sym, values, sym.lipschitz)):
         hit = next(itertools.compress(range(i + 1, len(tups)), map(operator.gt, gaps, rho)), None)
         if hit is not None:
             return tups[i], tups[hit]
     return None
 
 
-def _ratio(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list) -> Fraction:
+def _ratio(D: list[list[int]], sym: PredSym | FuncSym, values: list[int]) -> Fraction:
     """The largest gap / rho over pairs of argument tuples with rho > 0,
     or 0 when there is none; arguments as for `_rows`."""
     best = Fraction(0)
-    for gaps, rho in _rows(D, dd, sym, values, Fraction(1)):
+    for gaps, rho in _rows(D, sym, values, Fraction(1)):
         for g, r in zip(gaps, rho):
             if r > 0 and g * best.denominator > best.numerator * r:
                 best = Fraction(g, r)
@@ -155,31 +141,52 @@ def lipschitz_ratio(s: FiniteStructure, sym: PredSym | FuncSym) -> Fraction:
     there is none). Pairs are read unordered, so it is exact on a
     symmetric metric."""
     T = s.ints
-    if isinstance(sym, PredSym):
-        return _ratio(T.dist, T.den, sym, [s.preds[sym.name][t] for t in itertools.product(s.universe, repeat=sym.arity)])
-    return _ratio(T.dist, T.den, sym, T.funcs[sym.name])
+    return _ratio(T.dist, sym, (T.preds if isinstance(sym, PredSym) else T.funcs)[sym.name])
 
 
 def validate(s: FiniteStructure) -> Optional[Violation]:
     """Check every structure invariant exhaustively; return the first
     violation found, or None.
 
-    Entries are read once onto position-indexed integer tables over the
-    lcm of their denominators, so every later check is exact on ints."""
+    Presence and range come first, on the Fraction tables: the distance
+    entries, then each predicate and function table, then the constants.
+    The metric axioms and the moduli are checked after them, exactly, on
+    `s.ints`, which needs every entry; so a structure with a table fault
+    and a metric fault reports the table fault."""
     n = len(s.universe)
     if not (1 <= n <= MAX_UNIVERSE):
         return Violation("universe", f"universe size {n} outside 1..{MAX_UNIVERSE}")
     if len(set(s.universe)) != n:
         return Violation("universe", "universe labels are not distinct")
     U = s.universe
-    pos = {a: i for i, a in enumerate(U)}
+    points = set(U)
     for a, b in itertools.product(U, repeat=2):
         if (a, b) not in s.dist:
             return Violation("metric", f"missing distance entry", (a, b))
         v = s.dist[(a, b)]
         if not (0 <= v <= 1):
             return Violation("metric", f"d{(a, b)} = {v} outside [0,1]", (a, b))
-    dd, D = _int_dist(U, s.dist)
+    symbols = s.sig.preds + s.sig.funcs
+    kinds = ["predicate"] * len(s.sig.preds) + ["function"] * len(s.sig.funcs)
+    for sym, kind in zip(symbols, kinds):
+        table = (s.preds if kind == "predicate" else s.funcs).get(sym.name)
+        if table is None:
+            return Violation("table", f"missing {kind} table {sym.name!r}")
+        for tup in itertools.product(U, repeat=sym.arity):
+            if tup not in table:
+                return Violation("table", f"{kind} {sym.name!r} missing entry", tup)
+            v = table[tup]
+            if kind == "predicate" and not (0 <= v <= 1):
+                return Violation("table", f"{sym.name}{tup} = {v} outside [0,1]", tup)
+            if kind == "function" and v not in points:
+                return Violation("table", f"{sym.name}{tup} maps outside the universe", tup)
+    for name in s.sig.consts:
+        if name not in s.consts:
+            return Violation("table", f"missing constant {name!r}")
+        if s.consts[name] not in points:
+            return Violation("table", f"constant {name!r} outside the universe")
+    T = s.ints
+    D = T.dist
     for i, a in enumerate(U):
         if D[i][i] != 0:
             return Violation("metric", f"d({a},{a}) nonzero", (a,))
@@ -193,31 +200,9 @@ def validate(s: FiniteStructure) -> Optional[Violation]:
         if D[i][j] > min(map(operator.add, D[i], D[j])):
             c = next(c for c in range(n) if D[i][j] > D[i][c] + D[j][c])
             return Violation("metric", "triangle inequality fails", (U[i], U[j], U[c]))
-    symbols = s.sig.preds + s.sig.funcs
-    kinds = ["predicate"] * len(s.sig.preds) + ["function"] * len(s.sig.funcs)
-    values: list[list] = []
-    for sym, kind in zip(symbols, kinds):
-        table = (s.preds if kind == "predicate" else s.funcs).get(sym.name)
-        if table is None:
-            return Violation("table", f"missing {kind} table {sym.name!r}")
-        values.append([])
-        for tup in itertools.product(U, repeat=sym.arity):
-            if tup not in table:
-                return Violation("table", f"{kind} {sym.name!r} missing entry", tup)
-            v = table[tup]
-            if kind == "predicate" and not (0 <= v <= 1):
-                return Violation("table", f"{sym.name}{tup} = {v} outside [0,1]", tup)
-            if kind == "function" and v not in pos:
-                return Violation("table", f"{sym.name}{tup} maps outside the universe", tup)
-            values[-1].append(v if kind == "predicate" else pos[v])
-    for name in s.sig.consts:
-        if name not in s.consts:
-            return Violation("table", f"missing constant {name!r}")
-        if s.consts[name] not in pos:
-            return Violation("table", f"constant {name!r} outside the universe")
     # uniform continuity (Lipschitz) over all pairs of argument tuples
-    for sym, kind, vals in zip(symbols, kinds, values):
-        hit = _lipschitz_break(D, dd, sym, vals)
+    for sym, kind in zip(symbols, kinds):
+        hit = _lipschitz_break(D, sym, (T.preds if kind == "predicate" else T.funcs)[sym.name])
         if hit is not None:
             witness = tuple(tuple(U[x] for x in t) for t in hit)
             return Violation("lipschitz", f"{kind} {sym.name!r} breaks its modulus", witness)
@@ -409,36 +394,33 @@ def random_structure(sig: Signature, size: int, seed: int) -> FiniteStructure:
         raise ValueError(f"size {size} outside 1..{MAX_UNIVERSE}")
     rng = random.Random(seed)
     U = tuple(f"p{i}" for i in range(size))
-    dist: dict[tuple[Point, Point], Fraction] = {}
-    for i, a in enumerate(U):
-        dist[(a, a)] = Fraction(0)
-        for b in U[:i]:
-            v = Fraction(rng.randint(0, _GRID), _GRID)
-            dist[(a, b)] = dist[(b, a)] = v
-    for c, a, b in itertools.product(U, repeat=3):  # shortest-path closure
-        dist[(a, b)] = min(dist[(a, b)], dist[(a, c)] + dist[(c, b)])
-    for a, b in itertools.product(U, repeat=2):
-        if a != b and dist[(a, b)] == 0:
-            dist[(a, b)] = Fraction(1, _GRID)
-    dd, D = _int_dist(U, dist)
+    D = [[0] * size for _ in U]  # distances over _GRID
+    for i in range(size):
+        for j in range(i):
+            D[i][j] = D[j][i] = rng.randint(0, _GRID)
+    for c, i, j in itertools.product(range(size), repeat=3):  # shortest-path closure
+        D[i][j] = min(D[i][j], D[i][c] + D[c][j])
+    for i, j in itertools.product(range(size), repeat=2):
+        if i != j and D[i][j] == 0:
+            D[i][j] = 1
 
     preds: dict[str, dict[tuple, Fraction]] = {}
     for p in sig.preds:
-        raw = {tup: Fraction(rng.randint(0, _GRID), _GRID) for tup in itertools.product(U, repeat=p.arity)}
-        ratio = _ratio(D, dd, p, list(raw.values()))
+        raw = [rng.randint(0, _GRID) for _ in range(size**p.arity)]  # over _GRID
+        ratio = _ratio(D, p, raw)
         if ratio > p.lipschitz:
             # blending by lam scales every gap by lam: keep the largest lam in (1/64)Z that fits
             lam = Fraction(64 * p.lipschitz // ratio, 64)
-            mean = sum(raw.values(), Fraction(0)) / len(raw)
-            raw = {tup: mean + lam * (v - mean) for tup, v in raw.items()}
-        preds[p.name] = raw
+            mean = Fraction(sum(raw), len(raw))
+            raw = [mean + lam * (v - mean) for v in raw]
+        preds[p.name] = {tup: Fraction(v, _GRID) for tup, v in zip(itertools.product(U, repeat=p.arity), raw)}
 
     funcs: dict[str, dict[tuple, Point]] = {}
     for f in sig.funcs:
         table = None
         for _ in range(64):
             cand = [rng.randrange(size) for _ in range(size**f.arity)]
-            if _lipschitz_break(D, dd, f, cand) is None:
+            if _lipschitz_break(D, f, cand) is None:
                 table = dict(zip(itertools.product(U, repeat=f.arity), (U[x] for x in cand)))
                 break
         if table is None:  # a projection, or a constant map when the modulus is below 1
@@ -446,6 +428,7 @@ def random_structure(sig: Signature, size: int, seed: int) -> FiniteStructure:
         funcs[f.name] = table
 
     consts = {name: U[rng.randrange(size)] for name in sig.consts}
+    dist = {(a, b): Fraction(D[i][j], _GRID) for (i, a), (j, b) in itertools.product(enumerate(U), repeat=2)}
     return FiniteStructure(sig, U, dist, preds, funcs, consts)
 
 

@@ -1,5 +1,5 @@
-"""Document writers, a Boolean constant and the mutation hooks that only
-the tests use, kept out of the package."""
+"""Document writers, a Boolean constant, the guarded-block expansion and
+the mutation hooks that only the tests use, kept out of the package."""
 
 import itertools
 from dataclasses import replace
@@ -10,11 +10,11 @@ from fvlogic.boolean_ideals import (
     BOne,
     BooleanFormula,
     BZero,
+    GuardedExists,
     NotZero,
     TermEq,
     _children,
     _map_children,
-    expand_guarded,
     ideal_to_json,
 )
 from fvlogic.fv_translator import DeterminingSequence
@@ -40,6 +40,15 @@ def signature_to_json(sig: Signature) -> dict:
 
 def b_true() -> BooleanFormula:
     return TermEq(BOne(), BOne())
+
+
+def expand_guarded(f: BooleanFormula) -> BooleanFormula:
+    """Recursively replace every guarded block by its raw expansion."""
+    if isinstance(f, GuardedExists):
+        return expand_guarded(f.expand_raw())
+    if isinstance(f, ATOMS):
+        return f
+    return _map_children(f, expand_guarded)
 
 
 def count_atoms(sigma: BooleanFormula) -> int:

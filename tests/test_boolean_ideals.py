@@ -34,7 +34,6 @@ from fvlogic.boolean_ideals import (
     b_false,
     ba_eval,
     close_ideal,
-    expand_guarded,
     free_bvars,
     fubini,
     ideal_from_json,
@@ -49,7 +48,7 @@ from fvlogic.boolean_ideals import (
     trivial_ideal,
 )
 from fvlogic.syntax import normalize_restricted
-from helpers import b_true
+from helpers import b_true, expand_guarded
 
 
 def fs(*items):

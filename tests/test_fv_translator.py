@@ -26,7 +26,6 @@ from fvlogic.boolean_ideals import (
     b_false,
     ba_eval,
     close_ideal,
-    expand_guarded,
     free_bvars,
     is_monotone,
     quotient,
@@ -67,7 +66,7 @@ from fvlogic.syntax import (
     parse,
     to_text,
 )
-from helpers import count_atoms, mutate_ds, mutate_sigma
+from helpers import count_atoms, expand_guarded, mutate_ds, mutate_sigma
 from test_boolean_ideals import reference_ba_eval
 from test_structures import reference_evaluate
 
@@ -210,6 +209,10 @@ def test_half_at_precision_zero():
     assert ds.s == (0, 0)
     assert ds.tm == (0, 0)
     assert ds.sm == (1, 0)
+    # the sup's sigma_0 reads y[0][1], a level-1 set, so the weak slack is
+    # bumped past 1/2^0 though the child's is 0
+    bumped = translate(normalize_restricted(parse("half(sup x . P(x))", hc.BATTERY_SIG)), 0)
+    assert bumped.s == (1, 0)
 
 
 # --------------------------------------------------------------------------

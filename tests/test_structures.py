@@ -1,9 +1,11 @@
 import dataclasses
 import functools
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 import pytest
 from hypothesis import given
@@ -435,7 +437,58 @@ def test_map_failures_names_each_changed_entry():
 # the measured blend factor against the bisection it replaced
 
 
-_int_dist, _lipschitz_break = st._int_dist, st._lipschitz_break
+# The integer helpers the reference below was written against, kept
+# verbatim: each reads its own denominators off the Fraction tables.
+def _on_lcm(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators, and their numerators over it."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _int_dist(U: tuple, dist: Mapping[tuple[Point, Point], Fraction]) -> tuple[int, list[list[int]]]:
+    """The distances as a position-indexed integer matrix over one denominator."""
+    dd, flat = _on_lcm([dist[(a, b)] for a in U for b in U])
+    return dd, [flat[i : i + len(U)] for i in range(0, len(flat), len(U))]
+
+
+def _rows(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list, lip: Fraction) -> Iterator[tuple[list, list]]:
+    """For each position tuple ta of `sym`'s arity, in product order, two
+    integer rows over the tuples tb after it: the gaps |P(ta) - P(tb)|
+    (d(f(ta), f(tb)) for a function) and the max-metric distances rho,
+    on the distance matrix D over denominator dd. `values` holds a
+    predicate's values or a function's image positions in the same
+    order. Both rows are scaled so that gap > rho exactly when the true
+    gap exceeds lip times the true rho, and gap / rho is their ratio
+    over lip."""
+    if isinstance(sym, PredSym):
+        # scaled by dp * dd * lip.denominator
+        dp, vals = _on_lcm(values)
+        vals = [x * dd * lip.denominator for x in vals]
+        k, gaps = lip.numerator * dp, lambda i: [abs(vals[i] - y) for y in vals[i + 1 :]]
+    else:
+        # scaled by dd * lip.denominator
+        rows = [[x * lip.denominator for x in row] for row in D]
+        k, gaps = lip.numerator, lambda i: [rows[values[i]][y] for y in values[i + 1 :]]
+    Dk = [[k * x for x in row] for row in D]
+    for i, ta in enumerate(itertools.product(range(len(D)), repeat=sym.arity)):
+        rho = Dk[ta[0]]
+        for x in ta[1:]:
+            rho = [r if r > y else y for r in rho for y in Dk[x]]
+        yield gaps(i), rho[i + 1 :]
+
+
+def _lipschitz_break(D: list[list[int]], dd: int, sym: PredSym | FuncSym, values: list) -> Optional[tuple[tuple, tuple]]:
+    """First pair (ta, tb) of position tuples, ta before tb in product
+    order, that breaks `sym`'s modulus, or None; arguments as for
+    `_rows`. The condition is symmetric and never fails on (t, t), so
+    this scan of unordered pairs finds the first witness of a scan over
+    all ordered pairs."""
+    tups = list(itertools.product(range(len(D)), repeat=sym.arity))
+    for i, (gaps, rho) in enumerate(_rows(D, dd, sym, values, sym.lipschitz)):
+        hit = next(itertools.compress(range(i + 1, len(tups)), map(operator.gt, gaps, rho)), None)
+        if hit is not None:
+            return tups[i], tups[hit]
+    return None
 
 
 # The random_structure that searched for each predicate's blend factor by
@@ -744,3 +797,49 @@ def test_evaluate_matches_reference_on_drawn_formulas(f, s, data):
     want = reference_evaluate(s, f, env)
     assert st.evaluate(s, f, env) == want
     assert st.evaluate(s, sx.normalize_restricted(f), env) == want
+
+
+# --------------------------------------------------------------------------
+# the measured modulus and the order of validate's checks
+
+
+def brute_lipschitz_ratio(s: FiniteStructure, sym: PredSym | FuncSym) -> Fraction:
+    """The largest gap / rho over all ordered pairs of argument tuples at
+    max-metric distance rho > 0, in Fractions; 0 when there is none."""
+    best = Fraction(0)
+    for ta, tb in itertools.product(itertools.product(s.universe, repeat=sym.arity), repeat=2):
+        rho = max(s.d(x, y) for x, y in zip(ta, tb))
+        if isinstance(sym, PredSym):
+            gap = abs(s.preds[sym.name][ta] - s.preds[sym.name][tb])
+        else:
+            gap = s.d(s.funcs[sym.name][ta], s.funcs[sym.name][tb])
+        if rho > 0:
+            best = max(best, gap / rho)
+    return best
+
+
+def test_lipschitz_ratio_matches_brute_force():
+    cases = below_one = 0
+    for sig in SIGS + [BLEND_SIG]:
+        for size, seed in itertools.product(range(1, 7), range(8)):
+            s = st.random_structure(sig, size, seed)
+            for sym in sig.preds + sig.funcs:
+                got = st.lipschitz_ratio(s, sym)
+                assert got == brute_lipschitz_ratio(s, sym), (sig, size, seed, sym.name)
+                cases += 1
+                below_one += 0 < got < 1
+    assert cases == 432 and below_one == 100
+
+
+def test_validate_reports_a_table_fault_before_a_metric_fault():
+    s = st.random_structure(ODD_SIG, 3, seed=2)
+    a, b = s.universe[:2]
+    skew = lambda r, U, d, p, f, c: _set(d, (a, b), d[(a, b)] / 2)
+    drop = lambda r, U, d, p, f, c: p["P"].pop((b,))
+    rng = random.Random(0)
+    both = _edit(s, rng, lambda *tables: (skew(*tables), drop(*tables)))
+    assert outcome(st.validate(both)) == ("table", "predicate 'P' missing entry", (b,))
+    assert outcome(reference_validate(both)) == ("metric", "asymmetric distance", (a, b))
+    # either fault alone is reported as the reference reports it
+    assert assert_same(_edit(s, rng, skew)) == ("metric", "asymmetric distance", (a, b))
+    assert assert_same(_edit(s, rng, drop)) == ("table", "predicate 'P' missing entry", (b,))
