@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from .boolean_ideals import IdealSpec, fubini, ideal_from_json, limsup_ideal
-from .structures import MAX_UNIVERSE, FiniteStructure, Point, evaluate, from_json as structure_from_json, map_failures, to_json as structure_to_json, validate
+from .structures import MAX_UNIVERSE, FiniteStructure, Point, evaluate, map_failures, to_json as structure_to_json, validate
 from .syntax import Atomic, Dist, Formula, Signature, free_vars
 
 MAX_PRODUCT_POINTS = 4096
@@ -202,22 +202,11 @@ def principal_ultraproduct_iso(fam: Family) -> list[str]:
     return map_failures(rp.structure, fam.structures[gamma0], rho)
 
 
-@dataclass(frozen=True)
-class FubiniReport:
-    single_classes: int
-    iterated_classes: int
-    mapping: Mapping[str, str]
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def fubini_iso(A: FiniteStructure, inner: IdealSpec, outer: IdealSpec) -> FubiniReport:
+def fubini_iso(A: FiniteStructure, inner: IdealSpec, outer: IdealSpec) -> list[str]:
     """Compare the reduced power of A over the product ideal (outer
     ideal on rows) with the iterated power (inner first, then outer),
-    via the row-wise projection map; all comparisons are exact."""
+    via the row-wise projection map; all comparisons are exact, and an
+    empty list means the map is an isomorphism."""
     F = fubini(outer, inner)
     single = reduced_product(Family(F, {g: A for g in F.omega}))
     rp_inner = reduced_product(Family(inner, {n: A for n in inner.omega}))
@@ -233,8 +222,7 @@ def fubini_iso(A: FiniteStructure, inner: IdealSpec, outer: IdealSpec) -> Fubini
         return project(rp_outer, tuple(rows))
 
     mapping = {single.labels[i]: rho_of(rep) for i, rep in enumerate(single.reps)}
-    failures = tuple(map_failures(single.structure, rp_outer.structure, mapping))
-    return FubiniReport(len(single.reps), len(rp_outer.reps), mapping, failures)
+    return map_failures(single.structure, rp_outer.structure, mapping)
 
 
 # --------------------------------------------------------------------------
@@ -251,11 +239,6 @@ def family_documents(doc: Mapping) -> tuple[IdealSpec, Mapping[str, Mapping]]:
     if set(raw) != set(ideal.omega):
         raise ValueError("structure labels must match the ideal's ground set")
     return ideal, raw
-
-
-def family_from_json(doc: Mapping, sig: Signature) -> Family:
-    ideal, raw = family_documents(doc)
-    return Family(ideal, {g: structure_from_json(raw[g], sig) for g in ideal.omega})
 
 
 def reduced_product_to_json(rp: ReducedProduct) -> dict:

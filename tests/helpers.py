@@ -1,8 +1,10 @@
-"""Document writers, a Boolean constant, the guarded-block expansion and
-the mutation hooks that only the tests use, kept out of the package."""
+"""Document readers and writers, a Boolean constant, the guarded-block
+expansion and the mutation hooks that only the tests use, kept out of the
+package."""
 
 import itertools
 from dataclasses import replace
+from typing import Mapping
 
 from fvlogic.boolean_ideals import (
     ATOMS,
@@ -18,8 +20,8 @@ from fvlogic.boolean_ideals import (
     ideal_to_json,
 )
 from fvlogic.fv_translator import DeterminingSequence
-from fvlogic.reduced_products import Family
-from fvlogic.structures import to_json as structure_to_json
+from fvlogic.reduced_products import Family, family_documents
+from fvlogic.structures import from_json as structure_from_json, to_json as structure_to_json
 from fvlogic.syntax import Signature, format_fraction
 
 
@@ -28,6 +30,11 @@ def family_to_json(fam: Family) -> dict:
         "ideal": ideal_to_json(fam.ideal),
         "structures": {str(g): structure_to_json(fam.structures[g]) for g in fam.ideal.omega},
     }
+
+
+def family_from_json(doc: Mapping, sig: Signature) -> Family:
+    ideal, raw = family_documents(doc)
+    return Family(ideal, {g: structure_from_json(raw[g], sig) for g in ideal.omega})
 
 
 def signature_to_json(sig: Signature) -> dict:

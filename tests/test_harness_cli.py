@@ -15,17 +15,29 @@ from fvlogic import harness_cli as hc
 from fvlogic.boolean_ideals import close_ideal, principal_max_ideal, trivial_ideal
 from fvlogic.reduced_products import MAX_PRODUCT_POINTS, Family, reduced_product
 from fvlogic.structures import evaluate, from_json, from_json as structure_from_json, random_structure, to_json, validate
+from fvlogic.harness_cli import (
+    QUANT_VARS,
+    Battery,
+    ResourceCaps,
+    _battery_terms,
+    _diagonal_pairs,
+    _head_and_stride,
+)
 from fvlogic.syntax import (
     Atomic,
     Const,
+    Dist,
+    Formula,
     FuncSym,
     Half,
+    Inf,
     Monus,
     One,
     PredSym,
     Signature,
     Sup,
     Var,
+    Zero,
     format_fraction,
     free_vars,
     is_restricted,
@@ -145,6 +157,76 @@ def test_diagonal_pairs_order():
         (2, 1),
         (2, 2),
     ]
+
+
+# The battery as it was before candidates were keyed by operand positions,
+# kept verbatim as the oracle: it built every candidate formula and filtered
+# the candidates against a set of the formulas kept so far.
+
+
+def reference_battery_atoms(sig: Signature) -> list[Formula]:
+    """Closed atoms first so they survive pool truncation and the depth
+    zero battery is exactly {Zero, One} plus the constant atoms."""
+    terms = _battery_terms(sig)
+    ordered = sorted(terms, key=lambda t: bool(free_vars(t)))
+
+    out: list[Formula] = [Zero(), One()]
+    for p in sig.preds:
+        out += [Atomic(p.name, args) for args in itertools.product(ordered, repeat=p.arity)]
+    out += [Dist(ordered[i], ordered[j]) for i in range(len(ordered)) for j in range(i + 1, len(ordered))]
+    return list(dict.fromkeys(out))
+
+
+def reference_battery(sig: Signature, depth: int, caps: ResourceCaps = CAPS) -> Battery:
+    """Deterministic pool of closed restricted sentences of nesting
+    depth at most `depth`, grown layer by layer from the atoms.
+
+    Each layer draws from four generator blocks (half, sup, inf, monus)
+    with a fixed per-block quota: the head of each block is kept intact
+    and the remainder is sampled at a fixed stride, so small canonical
+    sentences such as Sup(x, P(x)), Half(P(c)) and Monus(P(c), One)
+    always appear.
+    """
+    if not 0 <= depth <= caps.battery_depth:
+        raise ValueError(f"battery depth {depth} is outside 0..{caps.battery_depth}")
+
+    pool = _head_and_stride(reference_battery_atoms(sig), caps.battery_per_depth, caps.battery_keep_first)
+    layers: list[list[Formula]] = [pool]
+    seen: set[Formula] = set(pool)
+
+    for _ in range(depth):
+        prev = [f for layer in layers for f in layer]
+        halves = [Half(f) for f in prev]
+        sups = [Sup(v, f) for f in prev for v in QUANT_VARS if v in free_vars(f)]
+        infs = [Inf(v, f) for f in prev for v in QUANT_VARS if v in free_vars(f)]
+        monus = [Monus(prev[i], prev[j]) for i, j in _diagonal_pairs(len(prev))]
+        quota = caps.battery_per_depth // 4
+        keep = min(8, quota)
+        layer: list[Formula] = []
+        for block in (halves, sups, infs, monus):
+            fresh = [f for f in dict.fromkeys(block) if f not in seen]
+            picked = _head_and_stride(fresh, quota, keep)
+            layer += picked
+            seen.update(picked)
+        layers.append(layer)
+
+    sentences = tuple(f for layer in layers for f in layer if not free_vars(f))
+    return Battery(sig, depth, sentences)
+
+
+ORACLE_SIGS = (
+    hc.BATTERY_SIG,
+    hc.UNARY_SIG,
+    Signature(preds=(PredSym("R", 2, Fraction(1)),), consts=("a", "b")),
+    Signature(preds=(PredSym("P", 1, Fraction(1)),), funcs=(FuncSym("g", 1, Fraction(1)),), consts=("x",)),
+    Signature(preds=(PredSym("T", 3, Fraction(1)),), consts=("c",)),
+)
+
+
+@pytest.mark.parametrize("sig", ORACLE_SIGS, ids=["battery", "unary", "binary", "const-x", "ternary"])
+def test_battery_matches_reference_sentence_for_sentence(sig):
+    for depth in range(CAPS.battery_depth + 1):
+        assert hc.battery(sig, depth, CAPS) == reference_battery(sig, depth, CAPS)
 
 
 # --------------------------------------------------------------------------
