@@ -292,6 +292,18 @@ def _quantifier(s: int, body, one: int, fold):
     return run
 
 
+def _junction(c: "_Program", ps: tuple, unit: bool, fold):
+    """and (unit True, fold all) or or (unit False, fold any) over closures
+    ps: unit constants drop out, any other constant absorbs the whole."""
+    ps = [p for p in ps if c.value.get(p) is not unit]
+    if not ps or any(p in c.value for p in ps):
+        return c.const(unit if not ps else not unit)
+    if len(ps) != 2:
+        return ps[0] if len(ps) == 1 else lambda env: fold(p(env) for p in ps)
+    a, b = ps
+    return (lambda env: a(env) and b(env)) if unit else (lambda env: a(env) or b(env))
+
+
 # Each Boolean node class with its to_prefix keyword, its child fields in
 # print order, and its compiler. "args" holds a tuple of children and
 # "bounds" a guarded block's (meet variables, term) pairs; binder names are
@@ -302,16 +314,16 @@ def _quantifier(s: int, body, one: int, fold):
 # one ^ x, and x <= y is x & ~y == 0.
 _NODES: dict[type, tuple[str, tuple[str, ...], Callable]] = {
     BVar: ("", (), lambda c, g: itemgetter(c.slot(g.name))),
-    BZero: ("0", (), lambda c, g: lambda env: 0),
-    BOne: ("1", (), lambda c, g: lambda env, one=c.one: one),
+    BZero: ("0", (), lambda c, g: c.const(0)),
+    BOne: ("1", (), lambda c, g: c.const(c.one)),
     BMeet: ("meet", ("left", "right"), lambda c, g, a, b: lambda env: a(env) & b(env)),
     BJoin: ("join", ("left", "right"), lambda c, g, a, b: lambda env: a(env) | b(env)),
     BCompl: ("compl", ("arg",), lambda c, g, a: lambda env, one=c.one: one ^ a(env)),
     TermEq: ("eq", ("left", "right"), lambda c, g, a, b: lambda env: a(env) == b(env)),
     TermLe: ("le", ("left", "right"), lambda c, g, a, b: lambda env: not a(env) & ~b(env)),
     NotZero: ("ne0", ("arg",), lambda c, g, a: lambda env: a(env) != 0),
-    BAnd: ("and", ("args",), lambda c, g, *ps: lambda env: all(p(env) for p in ps)),
-    BOr: ("or", ("args",), lambda c, g, *ps: lambda env: any(p(env) for p in ps)),
+    BAnd: ("and", ("args",), lambda c, g, *ps: _junction(c, ps, True, all)),
+    BOr: ("or", ("args",), lambda c, g, *ps: _junction(c, ps, False, any)),
     BNot: ("not", ("arg",), lambda c, g, a: lambda env: not a(env)),
     BImp: ("imp", ("left", "right"), lambda c, g, a, b: lambda env: not a(env) or b(env)),
     BExists: ("exists", ("body",), lambda c, g, body: _quantifier(c.slot(g.var), body, c.one, any)),
@@ -452,17 +464,21 @@ class _Program:
     searched guarded block, made on first use at every key width, and
     env[1:] the variables' class masks, one slot per name (`slots`).
     Structurally equal nodes compile to one shared closure, and guarded
-    blocks to one pair of memos."""
+    blocks to one pair of memos. Constants fold as they compile (`const`):
+    any node but a variable or a guarded block whose children are all
+    constant is evaluated once, so is a quantifier over a constant body, and
+    `and`/`or` drop neutral constants and collapse on absorbing ones."""
 
     def __init__(self, f: BooleanFormula, k: int) -> None:
         self.k, self.one = k, (1 << k) - 1
         self.slots: dict[str, int] = {}
         self.done: dict[BNode, Callable] = {}
+        self.value, self.consts = {}, {}  # each constant closure's value, and the closure per (type, value)
         self.memos = 0  # env[0] slots: two per searched guarded block
         self.names = free_bvars(f)
         self.free = [self.slot(v) for v in self.names]
         self.run = self.compile(f)
-        del self.done  # needed only while compiling
+        del self.done, self.value, self.consts  # needed only while compiling
 
     def slot(self, name: str) -> int:
         return self.slots.setdefault(name, len(self.slots) + 1)
@@ -471,7 +487,17 @@ class _Program:
         """g's closure, shared by every node structurally equal to g."""
         fn = self.done.get(g)
         if fn is None:
-            fn = self.done[g] = _node(g)[2](self, g, *map(self.compile, _children(g)))
+            kids = list(map(self.compile, _children(g)))
+            fn = _node(g)[2](self, g, *kids)
+            if not isinstance(g, (BVar, GuardedExists)) and all(map(self.value.__contains__, kids)):
+                fn = self.const(fn([None] * (len(self.slots) + 1)))  # run once; only a quantifier reads env
+            self.done[g] = fn
+        return fn
+
+    def const(self, v: Union[bool, int]) -> Callable:
+        """The closure of v, one per type and value: True and 1 differ."""
+        fn = self.consts.setdefault((type(v), v), lambda env: v)
+        self.value[fn] = v
         return fn
 
     def session(self) -> list:
@@ -646,7 +672,9 @@ def is_monotone(
     k * v <= 18 on a core of k atoms (covering relations step one atom at a
     time, which suffices in a finite Boolean algebra); otherwise 1,000
     seeded random comparable pairs. f is compiled once; its evaluations
-    share one session and its guarded memos, dicts at every key width."""
+    share one session and its guarded memos, dicts at every key width. A
+    sampled low mask is drawn inline as `randrange(2^k)` would draw it:
+    k + 1 random bits, redrawn until below 2^k."""
     names = free_bvars(f)
     if not names:
         return True
@@ -664,13 +692,19 @@ def is_monotone(
         truth = bytearray(map(sat, itertools.product(range(prog.one + 1), repeat=len(names))))
         return _monotone_table(truth, k * len(names))
     rng = random.Random(seed)
-    randrange, rand, size, bits = rng.randrange, rng.random, prog.one + 1, [1 << i for i in range(k)]
+    getrandbits, rand, size, bits = rng.getrandbits, rng.random, prog.one + 1, [1 << i for i in range(k)]
     for _ in range(1000):
-        lo = [randrange(size) for _ in names]
+        lo = []
+        for _ in names:
+            x = getrandbits(k + 1)
+            while x >= size:
+                x = getrandbits(k + 1)
+            lo.append(x)
         hi = []
         for x in lo:
             for bit in bits:
-                x |= bit if rand() < 0.5 else 0
+                if rand() < 0.5:
+                    x |= bit
             hi.append(x)
         if sat(lo) and not sat(hi):
             return False

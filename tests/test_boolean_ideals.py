@@ -752,6 +752,100 @@ def test_wide_guarded_block_memoizes_across_a_session():
 
 
 # --------------------------------------------------------------------------
+# constant folding
+
+
+def folding_formulas():
+    """Formulas with constant subtrees in every position the compiler folds."""
+    x, y, z = BVar("x"), BVar("y"), BVar("z")
+    t, f = b_true(), b_false()
+    return [
+        # 0 and 1 under meet, join and complement
+        TermEq(BMeet(BZero(), y), BZero()),
+        TermEq(BJoin(y, BOne()), BOne()),
+        TermEq(BCompl(BZero()), BJoin(x, BCompl(BOne()))),
+        TermLe(BMeet(y, BOne()), BJoin(x, BZero())),
+        NotZero(BMeet(BCompl(BZero()), y)),
+        NotZero(BJoin(BZero(), BCompl(BOne()))),
+        # closed atoms
+        f,
+        t,
+        NotZero(BOne()),
+        NotZero(BZero()),
+        TermEq(BOne(), BZero()),
+        TermLe(BOne(), BZero()),
+        TermLe(BZero(), BOne()),
+        TermLe(BJoin(BOne(), BZero()), BMeet(BOne(), BOne())),
+        # junctions with a constant first, last or in the middle
+        BAnd((t, NotZero(y), NotZero(x))),
+        BAnd((NotZero(y), TermLe(x, y), t)),
+        BAnd((NotZero(y), t, TermLe(y, x), NotZero(x))),
+        BAnd((NotZero(y), f, NotZero(x))),
+        BAnd((f, NotZero(y), NotZero(x))),
+        BAnd((NotZero(y), NotZero(x), f)),
+        BAnd((t, NotZero(y))),
+        BAnd((t, t, t)),
+        BOr((f, NotZero(y), TermEq(x, y))),
+        BOr((NotZero(y), TermLe(x, y), f)),
+        BOr((NotZero(y), f, TermEq(y, x), NotZero(x))),
+        BOr((NotZero(y), t, NotZero(x))),
+        BOr((t, NotZero(y), NotZero(x))),
+        BOr((NotZero(y), NotZero(x), t)),
+        BOr((f, NotZero(y))),
+        BOr((f, f, f)),
+        BAnd((BOr((f, NotZero(y))), BOr((NotZero(x), f)), NotZero(BOne()))),
+        # implications with a constant on either side
+        BImp(f, NotZero(y)),
+        BImp(t, NotZero(y)),
+        BImp(NotZero(y), f),
+        BImp(TermEq(x, y), t),
+        BNot(BImp(NotZero(BOne()), TermLe(x, y))),
+        # quantifiers over a constant body, and over a body with one
+        BExists("z", t),
+        BExists("z", f),
+        BForall("z", t),
+        BForall("z", NotZero(BZero())),
+        BAnd((BExists("z", NotZero(BOne())), NotZero(y))),
+        BForall("z", BAnd((TermLe(BZero(), z), NotZero(BOne()), TermLe(z, BJoin(y, BCompl(y)))))),
+        BExists("z", BOr((f, BAnd((TermLe(z, y), NotZero(z)))))),
+        # guarded blocks whose bounds or bodies mention 1
+        GuardedExists(("z",), ((("z",), y),), BAnd((NotZero(BMeet(z, BOne())), TermLe(BZero(), x)))),
+        GuardedExists(("z",), ((("z",), BOne()),), BAnd((NotZero(BMeet(z, y)), t))),
+        GuardedExists(("z",), ((("z",), y),), BOr((NotZero(BMeet(z, x)), f))),
+        GuardedExists(("z",), ((("z",), y),), BOr((NotZero(BMeet(z, x)), NotZero(BOne())))),
+        GuardedExists(("z",), ((("z",), BMeet(y, BOne())), (("x",), BJoin(BZero(), y))), NotZero(z)),
+    ]
+
+
+def test_folded_constants_match_reference():
+    for size in (1, 2, 3):
+        B = quotient(trivial_ideal(tuple(range(size))))
+        for f in folding_formulas():
+            names = free_bvars(f)
+            raw = expand_guarded(f)
+            for combo in itertools.product(B.elements, repeat=len(names)):
+                env = dict(zip(names, combo))
+                verdict = ba_eval(B, f, env)
+                # a formula constant stays a bool: True and 1 keep apart
+                assert type(verdict) is bool, (size, to_prefix(f), env)
+                assert verdict == reference_ba_eval(B, raw, env), (size, to_prefix(f), env)
+
+
+def test_folding_skips_a_guarded_search_under_false():
+    searched = 0
+    for g in GUARDED_SHAPES:
+        for f in (BAnd((g, b_false())), BAnd((g, NotZero(BVar("y1")), BNot(b_true())))):
+            prog = bi._Program(f, 2)
+            env = prog.session()
+            for s in prog.free:
+                env[s] = prog.one
+            assert prog.run(env) is False
+            # no memo was made, so the block was never searched
+            assert env[0] == [None] * prog.memos
+            searched += prog.memos > 0
+    assert searched >= 20
+
+# --------------------------------------------------------------------------
 # monotonicity
 
 
@@ -808,6 +902,21 @@ def test_sampled_pairs_match_reference(monkeypatch):
             names = [f"y{i}" for i in range(count)]
             f = BAnd(tuple(NotZero(BVar(v)) for v in names))
             seed = 100 * k + count
+            assert is_monotone(f, B, seed=seed, exhaustive_vars=0)
+            seen = _Recorder.last.seen
+            want = reference_pairs(names, _Recorder.last, k, seed)
+            assert list(zip(seen[0::2], seen[1::2])) == want, (k, count)
+
+
+def test_sampled_pairs_match_reference_on_wide_cores(monkeypatch):
+    # the inlined draw takes k + 1 bits at every core size up to MAX_OMEGA
+    monkeypatch.setattr(bi, "_Program", _Recorder)
+    for k in range(4, bi.MAX_OMEGA + 1):
+        B = quotient(trivial_ideal(tuple(range(k))))
+        for count in (1, 2, 3, 7):
+            names = [f"y{i}" for i in range(count)]
+            f = BAnd(tuple(NotZero(BVar(v)) for v in names))
+            seed = 1000 * k + count
             assert is_monotone(f, B, seed=seed, exhaustive_vars=0)
             seen = _Recorder.last.seen
             want = reference_pairs(names, _Recorder.last, k, seed)
