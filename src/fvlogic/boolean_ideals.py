@@ -88,6 +88,9 @@ def ideal_from_json(doc: Mapping) -> IdealSpec:
     """Read an ideal document; one of the wrong shape raises ValueError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("omega"), list):
         raise ValueError("an ideal document must be an object with an 'omega' list")
+    extra = sorted(doc.keys() - {"omega", "generators"})
+    if extra:
+        raise ValueError(f"unknown key {extra[0]!r} in an ideal document")
     raw = doc.get("generators", [])
     if not (isinstance(raw, list) and all(isinstance(gen, list) for gen in raw)):
         raise ValueError("ideal 'generators' must be a list of lists")

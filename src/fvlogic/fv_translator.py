@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from typing import Callable, Mapping, Optional, Sequence
 
 from .boolean_ideals import (
@@ -327,27 +327,39 @@ class LevelSets:
 
 def level_sets(ds: DeterminingSequence, fam: Family, abar: Mapping[str, tuple]) -> LevelSets:
     """Threshold sets of each subformula along the family, strict (>)
-    and weak (>=), from exact coordinatewise evaluation of the compiled
-    psis (`ds.programs`) on one frame per structure."""
+    and weak (>=), from exact evaluation of the compiled psis
+    (`ds.programs`). Coordinates with one structure object and one
+    parameter tuple form a column, and each psi runs once per column, on
+    one frame per structure, so a reduced power has a column per distinct
+    parameter tuple. Each psi's row of sets is fixed by its per-column
+    thresholds and built once per call for each distinct threshold vector."""
     if set(abar) != set(ds.freevars):
         raise ValueError(f"assignment must cover exactly {ds.freevars}")
     N = 2**ds.n
     P, roots = ds.programs
-    slots = [(x, P.var(x)) for x in ds.freevars]
-    frames: dict = {}
-    tops: list[list] = [[] for _ in roots]  # per psi, per coordinate: its label, ceil(vN) and floor(vN)
+    columns: dict[tuple, list] = {}
     for i, g in enumerate(fam.ideal.omega):
-        s = fam.structures[g]
+        columns.setdefault((fam.structures[g], tuple(abar[x][i] for x in ds.freevars)), []).append(g)
+    slots = list(map(P.var, ds.freevars))
+    frames: dict = {}
+    tops: list[list] = [[] for _ in roots]  # per psi, per column: ceil(vN) and floor(vN) + 1
+    for s, params in columns:
         frame = frames[s] = P.frame(s, frames.get(s))
-        for x, k in slots:
-            frame[k] = s.ints.pos[abar[x][i]]
+        for k, a in zip(slots, params):
+            frame[k] = s.ints.pos[a]
         for (run, e, *_), row in zip(roots, tops):
-            # the value v is x / (D << e), so v > i/N iff i < ceil(xN / (D << e)), and v >= i/N iff i <= floor(...)
+            # the value v is x / (D << e), so v > i/N iff i < ceil(xN / (D << e)), and v >= i/N iff i < floor(...) + 1
             xn, q = run(frame) * N, s.ints.den << e
-            row.append((g, -(-xn // q), xn // q))
-    strict = tuple(tuple(frozenset(g for g, up, _ in row if i < up) for i in range(N + 1)) for row in tops)
-    weak = tuple(tuple(frozenset(g for g, _, up in row if i <= up) for i in range(N + 1)) for row in tops)
-    return LevelSets(strict, weak)
+            row.append((-(-xn // q), xn // q + 1))
+    labels = [frozenset(gs) for gs in columns.values()]
+
+    @cache
+    def sets(u: tuple[int, ...]) -> tuple[frozenset, ...]:
+        """The row of sets for thresholds u: column c lies in level i iff i < u[c]."""
+        return tuple(frozenset().union(*(X for X, k in zip(labels, u) if i < k)) for i in range(N + 1))
+
+    vecs = [tuple(zip(*row)) for row in tops]
+    return LevelSets(tuple(sets(u) for u, _ in vecs), tuple(sets(w) for _, w in vecs))
 
 
 @dataclass(frozen=True)

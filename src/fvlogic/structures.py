@@ -357,15 +357,32 @@ _COMPILE: dict[type, Callable[..., tuple[Callable[[list], int], int]]] = {
 }
 
 
+_COMPILED: dict[int, tuple[Program, _Node]] = {}  # session-less evaluate's programs, keyed on id(f)
+# emptied when a miss finds it this full; each entry's node holds f, so its id is not reused
+_COMPILED_CAP = 256
+
+
 def evaluate(s: FiniteStructure, f: Formula, val: Optional[Mapping[str, Point]] = None, session: Optional[dict] = None) -> Fraction:
     """Evaluate `f` in `s` under `val`, exactly. Handles derived connectives
     directly, so it can serve as the oracle for normalization. Calls that
     pass one `session` dict share one `Program` (at the key `Program`), so f
     compiles once for all their structures, and one frame, with its sup/inf
-    memos, per structure (at the structure)."""
-    session = {} if session is None else session
-    P = session.get(Program) or session.setdefault(Program, Program())
-    run, e, names, _ = P.compile(f)
+    memos, per structure (at the structure). Without a session, f's program
+    is kept by formula object, so f compiles once across calls, and each
+    call runs it on a fresh frame."""
+    if session is None:
+        got = _COMPILED.get(id(f))
+        if got is None:
+            if len(_COMPILED) >= _COMPILED_CAP:
+                _COMPILED.clear()
+            P = Program()
+            got = _COMPILED[id(f)] = P, P.compile(f)
+            del P.nodes, P.shared  # needed only while compiling
+        (P, node), session = got, {}  # a one-call session: a fresh frame
+    else:
+        P = session.get(Program) or session.setdefault(Program, Program())
+        node = P.compile(f)
+    run, e, names, _ = node
     missing = [v for v in names if v not in (val or {})]
     if missing:
         raise ValueError(f"unbound variable {missing[0]!r}")

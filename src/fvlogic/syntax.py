@@ -29,6 +29,7 @@ them, translation_cost on its normal form included.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
@@ -39,12 +40,16 @@ MAX_DEPTH = 100
 
 
 def parse_fraction(value: Union[str, int, Fraction]) -> Fraction:
-    """Read a rational from "p/q" or integer-string or int."""
+    """Read a rational from an int or a string holding an optional sign and
+    digits, "p/q" or a plain decimal; exponent notation, which can ask for
+    an unbounded denominator, is refused."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not re.fullmatch(r"[-+]?(\d+(/\d+|\.\d*)?|\.\d+)", value.strip()):
+            raise ValueError(f"cannot read a rational from {value!r}")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -424,6 +424,46 @@ def test_level_sets_match_reference_on_random_families(battery_sequences):
         assert_level_sets_match_reference(battery_sequences, fam, lambda i, U: points.choice(U))
 
 
+def test_level_sets_match_reference_on_powers_with_repeated_parameters(battery_sequences):
+    # coordinates i and i + 2 hold one structure at one point: one column
+    # serves both, and coordinates with another point are another column
+    A = random_structure(hc.BATTERY_SIG, 4, 9)
+    for ideal in (trivial_ideal((1, 2, 3, 4)), close_ideal((1, 2, 3, 4, 5), [{2}])):
+        fam = Family(ideal, {g: A for g in ideal.omega})
+        assert_level_sets_match_reference(battery_sequences, fam, lambda i, U: U[i % 2])
+
+
+def mixed_family() -> Family:
+    """One structure at three coordinates, two others elsewhere, A and B
+    on one universe; S* is {2, 5}."""
+    A, B, C = (random_structure(hc.BATTERY_SIG, size, seed) for size, seed in ((3, 1), (3, 2), (2, 3)))
+    assert A.universe == B.universe
+    ideal = close_ideal((1, 2, 3, 4, 5, 6), [{2, 5}])
+    return Family(ideal, dict(zip(ideal.omega, (A, A, B, A, C, B))))
+
+
+def test_level_sets_match_reference_on_a_mixed_family(battery_sequences):
+    points = random.Random(7)
+    assert_level_sets_match_reference(battery_sequences, mixed_family(), lambda i, U: points.choice(U[:2]))
+    assert_level_sets_match_reference(battery_sequences, mixed_family(), lambda i, U: U[0])
+
+
+def test_level_sets_runs_each_psi_once_per_column(battery_sequences):
+    fam = mixed_family()
+    A = fam.structures[1]
+    power = Family(trivial_ideal((1, 2, 3, 4)), dict.fromkeys((1, 2, 3, 4), A))
+    for f, point in ((power, lambda i: A.universe[i % 2]), (fam, lambda i: "p0")):
+        for ds in battery_sequences[::7]:
+            abar = {v: tuple(point(i) for i in range(len(f.ideal.omega))) for v in ds.freevars}
+            columns = {(f.structures[g], tuple(abar[v][i] for v in ds.freevars)) for i, g in enumerate(f.ideal.omega)}
+            copy, runs = replace(ds), []
+            P, roots = copy.programs
+            count = lambda run: lambda frame: runs.append(1) or run(frame)
+            object.__setattr__(copy, "programs", (P, tuple((count(run), *rest) for run, *rest in roots)))
+            assert level_sets(copy, f, abar) == reference_level_sets(ds, f, abar)
+            assert len(runs) == ds.m * len(columns)
+
+
 def test_level_sets_compiles_each_psi_once_per_sequence(battery_sequences, monkeypatch):
     # fresh copies, so no program is cached yet; the first call compiles the
     # psis, and a call on another family, with other structures, compiles none

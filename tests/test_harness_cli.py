@@ -756,6 +756,25 @@ def test_cli_rp_family_rejects_a_list_table_in_a_later_document(files, capsys, k
     assert out == "" and err.splitlines() == [f"error: '{key}' must be an object"]
 
 
+def test_cli_eval_refuses_an_exponent_entry_in_one_line(files, capsys):
+    tmp, _, s, _ = files
+    doc = to_json(s)
+    doc["dist"][0][1] = doc["dist"][1][0] = "1e-999999999"
+    (tmp / "bad_s.json").write_text(json.dumps(doc))
+    assert hc.cli(["eval", "--formula", "P(c)", "--structure", str(tmp / "bad_s.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["error: cannot read a rational from '1e-999999999'"]
+
+
+def test_cli_rp_refuses_an_unknown_ideal_key_in_one_line(files, capsys):
+    # "sstar" is not the writer's key: read as absent, it gave the trivial ideal
+    tmp = files[0]
+    (tmp / "bad_ideal.json").write_text(json.dumps({"omega": [1, 2], "sstar": [1]}))
+    assert hc.cli(["rp", "--structure", str(tmp / "s.json"), "--ideal", str(tmp / "bad_ideal.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["error: unknown key 'sstar' in an ideal document"]
+
+
 def test_cli_rp_needs_inputs(files):
     assert hc.cli(["rp"]) == 2
 

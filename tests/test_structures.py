@@ -86,9 +86,13 @@ def test_evaluate_terms_and_dist():
 
 
 def test_evaluate_unbound_variable():
+    # the second session-less call finds the compiled formula and must still refuse
     s = two_point()
-    with pytest.raises(ValueError):
-        st.evaluate(s, parse("P(x)", s.sig))
+    f = parse("P(x)", s.sig)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^unbound variable 'x'$"):
+            st.evaluate(s, f)
+    assert st.evaluate(s, f, {"x": "b"}) == Fraction(3, 4)
 
 
 def test_evaluate_monus_and_half():
@@ -786,6 +790,34 @@ def test_evaluate_session_keeps_structures_on_one_universe_apart():
         assert any(x is s.ints.dist for x in session[s]) and not any(x is other.ints.dist for x in session[s])
     memos = [i for i, x in enumerate(session[s1]) if isinstance(x, dict)]
     assert memos and all(session[s1][i] is not session[s2][i] for i in memos)
+
+
+def test_sessionless_evaluate_compiles_a_formula_once(monkeypatch):
+    # one formula object on two structures over one universe: the second
+    # call compiles nothing, and runs on a frame of its own structure's tables
+    s1, s2 = st.random_structure(SIG, 3, seed=1), st.random_structure(SIG, 3, seed=2)
+    fs = [parse(t, SIG) for t in SHARED_TEXTS]
+    compiled = []
+    honest = st.Program.compile
+    monkeypatch.setattr(st.Program, "compile", lambda P, g: compiled.append(g) or honest(P, g))
+    for f in fs:
+        assert st.evaluate(s1, f) == reference_evaluate(s1, f)
+        assert f in compiled
+        compiled.clear()
+        assert st.evaluate(s2, f) == reference_evaluate(s2, f)
+        assert compiled == []
+    assert [st.evaluate(s1, f) for f in fs] != [st.evaluate(s2, f) for f in fs]
+
+
+def test_sessionless_evaluate_cache_stays_bounded():
+    # freshly parsed formulas, each dropped after its call, so a later one
+    # may take a dropped one's address once the cache has let it go
+    s = st.random_structure(hc.BATTERY_SIG, 3, 8)
+    texts = [sx.to_text(sent) for sent in hc.battery(hc.BATTERY_SIG, 2).sentences]
+    for k in range(300):
+        f = parse(texts[k % len(texts)], hc.BATTERY_SIG)
+        assert st.evaluate(s, f) == reference_evaluate(s, f), texts[k % len(texts)]
+        assert len(st._COMPILED) <= 256
 
 
 PROPERTY_STRUCTURES = [st.random_structure(SYNTAX_SIG, size, seed) for size in range(1, 5) for seed in (0, 1)]

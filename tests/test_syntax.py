@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,16 @@ def test_fraction_io():
     assert sx.parse_fraction(2) == Fraction(2)
     assert sx.format_fraction(Fraction(1, 2)) == "1/2"
     assert sx.format_fraction(Fraction(2)) == "2/1"
+
+
+def test_parse_fraction_refuses_exponent_notation_at_once():
+    # Fraction("1e-999999999") would build a denominator of about 3.3 G bits
+    for text in ("1e-3", "1E5", "1e-999999999"):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot read a rational"):
+            sx.parse_fraction(text)
+        assert time.perf_counter() - t0 < 1, text
+    assert [sx.parse_fraction(text) for text in ("3/4", " -2 ", "0.25")] == [Fraction(3, 4), Fraction(-2), Fraction(1, 4)]
 
 
 def test_signature_json_round_trip():
