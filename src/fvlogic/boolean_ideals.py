@@ -14,10 +14,13 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
+
+from .syntax import check_keys
 
 Label = Hashable
 
@@ -88,9 +91,7 @@ def ideal_from_json(doc: Mapping) -> IdealSpec:
     """Read an ideal document; one of the wrong shape raises ValueError."""
     if not isinstance(doc, dict) or not isinstance(doc.get("omega"), list):
         raise ValueError("an ideal document must be an object with an 'omega' list")
-    extra = sorted(doc.keys() - {"omega", "generators"})
-    if extra:
-        raise ValueError(f"unknown key {extra[0]!r} in an ideal document")
+    check_keys(doc, ("omega", "generators"), "an ideal document")
     raw = doc.get("generators", [])
     if not (isinstance(raw, list) and all(isinstance(gen, list) for gen in raw)):
         raise ValueError("ideal 'generators' must be a list of lists")
@@ -245,17 +246,17 @@ class GuardedExists:
     Each bound ((v1..vk), t) asserts meet(v1..vk) <= t where t is a term
     over free variables. Semantically identical to `expand_raw`. Compiled,
     a block whose body is an `or` splits into one block per disjunct
-    (`_split`), and a block searches its z variables over class bitmasks,
-    largest first and below the caps their one-variable bounds set,
-    reading the body with the variables not yet chosen at their caps: as
-    the body is monotone in them, a false reading prunes the candidate and
-    every class below it. The searched block's verdict is memoized per
-    evaluation session, keyed on the block's free variables, and so are its
-    body's values, keyed on the body's free variables: each memo is a dict
-    made on first use in the session, at every key width. A block whose
-    body `proves_monotone` cannot vouch for, or whose bounds mention its
-    own variables, compiles as its raw expansion.
-    """
+    (`_split`). Every z at 0 meets each bound that names a z, so a constant
+    body folds the block to false or to its bounds over free variables
+    alone, and a search first reads the body with every z at 0; then it
+    tries z values over class bitmasks, largest first and below the caps
+    their one-variable bounds set, reading the body with the variables not
+    yet chosen at their caps: as the body is monotone in them, a false
+    reading prunes the candidate and every class below it. A searched
+    block's verdict and its body's values are memoized per evaluation
+    session, keyed on the free variables of the block and of the body
+    (`_key`). A block whose body `proves_monotone` cannot vouch for, or
+    whose bounds mention its own variables, compiles as its raw expansion."""
 
     zvars: tuple[str, ...]
     bounds: tuple[tuple[tuple[str, ...], BTerm], ...]
@@ -295,16 +296,32 @@ def _quantifier(s: int, body, one: int, fold):
     return run
 
 
-def _junction(c: "_Program", ps: tuple, unit: bool, fold):
-    """and (unit True, fold all) or or (unit False, fold any) over closures
-    ps: unit constants drop out, any other constant absorbs the whole."""
-    ps = [p for p in ps if c.value.get(p) is not unit]
+def _junction(c: "_Program", ps: tuple, unit: bool):
+    """and (unit True) or or (unit False) over closures ps: unit constants
+    drop out, any other constant absorbs the whole; two children join with
+    Python's and/or, more in a loop that returns at the first non-unit."""
+    ps = tuple(p for p in ps if c.value.get(p) is not unit)
     if not ps or any(p in c.value for p in ps):
         return c.const(unit if not ps else not unit)
-    if len(ps) != 2:
-        return ps[0] if len(ps) == 1 else lambda env: fold(p(env) for p in ps)
-    a, b = ps
-    return (lambda env: a(env) and b(env)) if unit else (lambda env: a(env) or b(env))
+    if len(ps) == 1:
+        return ps[0]
+    if len(ps) == 2:
+        a, b = ps
+        return (lambda env: a(env) and b(env)) if unit else (lambda env: a(env) or b(env))
+
+    def conj(env) -> bool:
+        for p in ps:
+            if not p(env):
+                return False
+        return True
+
+    def disj(env) -> bool:
+        for p in ps:
+            if p(env):
+                return True
+        return False
+
+    return conj if unit else disj
 
 
 # Each Boolean node class with its to_prefix keyword, its child fields in
@@ -325,8 +342,8 @@ _NODES: dict[type, tuple[str, tuple[str, ...], Callable]] = {
     TermEq: ("eq", ("left", "right"), lambda c, g, a, b: lambda env: a(env) == b(env)),
     TermLe: ("le", ("left", "right"), lambda c, g, a, b: lambda env: not a(env) & ~b(env)),
     NotZero: ("ne0", ("arg",), lambda c, g, a: lambda env: a(env) != 0),
-    BAnd: ("and", ("args",), lambda c, g, *ps: _junction(c, ps, True, all)),
-    BOr: ("or", ("args",), lambda c, g, *ps: _junction(c, ps, False, any)),
+    BAnd: ("and", ("args",), lambda c, g, *ps: _junction(c, ps, True)),
+    BOr: ("or", ("args",), lambda c, g, *ps: _junction(c, ps, False)),
     BNot: ("not", ("arg",), lambda c, g, a: lambda env: not a(env)),
     BImp: ("imp", ("left", "right"), lambda c, g, a, b: lambda env: not a(env) or b(env)),
     BExists: ("exists", ("body",), lambda c, g, body: _quantifier(c.slot(g.var), body, c.one, any)),
@@ -473,7 +490,7 @@ class _Program:
     `and`/`or` drop neutral constants and collapse on absorbing ones."""
 
     def __init__(self, f: BooleanFormula, k: int) -> None:
-        self.k, self.one = k, (1 << k) - 1
+        self.one = (1 << k) - 1
         self.slots: dict[str, int] = {}
         self.done: dict[BNode, Callable] = {}
         self.value, self.consts = {}, {}  # each constant closure's value, and the closure per (type, value)
@@ -481,6 +498,7 @@ class _Program:
         self.names = free_bvars(f)
         self.free = [self.slot(v) for v in self.names]
         self.run = self.compile(f)
+        self.constant = self.run in self.value
         del self.done, self.value, self.consts  # needed only while compiling
 
     def slot(self, name: str) -> int:
@@ -518,6 +536,15 @@ class _Program:
         return self.run(env)
 
 
+def _key(slots: list) -> Callable:
+    """env -> one memo key for the masks in `slots`: the mask itself for one
+    slot, else their bytes (a mask is below 2^MAX_OMEGA, so it fits a byte)."""
+    if len(slots) == 1:
+        return itemgetter(slots[0])
+    get = itemgetter(*slots) if slots else lambda env: ()
+    return lambda env: bytes(get(env))
+
+
 def _split(g: GuardedExists, d: BooleanFormula) -> BooleanFormula:
     """g with body d over the z free in d and the bounds meeting no other z
     (exact: a dropped z at 0 meets its bounds at 0); no z left, a conjunction."""
@@ -538,7 +565,10 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
         return c.compile(BOr(tuple(_split(g, d) for d in g.body.args)))
     if own or not proves_monotone(g.body, zset):
         return c.compile(g.expand_raw())
-    k, one = c.k, c.one
+    body = c.compile(g.body)
+    if body in c.value:  # z at 0 meets every bound that names a z: the others and the body remain
+        return c.compile(GuardedExists((), tuple(b for b in g.bounds if zset.isdisjoint(b[0])), g.body).expand_raw())
+    one = c.one
     down = [sum(1 << s for s in range(e + 1) if not s & ~e) for e in range(one + 1)]
     zs = [c.slot(z) for z in g.zvars]
     terms = [c.compile(t) for _, t in g.bounds]
@@ -550,10 +580,8 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
         ms = {c.slot(v) for v in meet_vars}
         i = max((zs.index(s) for s in ms if s in zs), default=m)
         activated[i].append((tuple(ms.difference(zs[i : i + 1])), bi))
-    body = c.compile(g.body)
-    keys = [c.slot(v) for v in free_bvars(g.body)]
-    # the verdict depends on the block's free variables alone
-    vkeys = [c.slot(v) for v in free_bvars(g)]
+    body_key = _key([c.slot(v) for v in free_bvars(g.body)])
+    verdict_key = _key([c.slot(v) for v in free_bvars(g)])  # the block's free variables alone
     body_at, verdict_at = c.memos, c.memos + 1
     c.memos += 2
 
@@ -572,14 +600,10 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
 
         if forbidden(m):
             return False
-        # each z variable's cap: the meet of its bounds on it alone
-        caps = [functools.reduce(int.__and__, (bvals[bi] for o, bi in act if not o), one) for act in activated[:m]]
         values = env[0][body_at]
 
         def body_now() -> bool:
-            key = 0
-            for s in keys:
-                key = key << k | env[s]
+            key = body_key(env)
             v = values.get(key)
             if v is None:
                 v = values[key] = body(env)
@@ -606,17 +630,22 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
             return False
 
         saved = [env[s] for s in zs]
-        for s, cap in zip(zs, caps):
-            env[s] = cap
-        out = dfs(0)
+        for s in zs:
+            env[s] = 0
+        out = body_now()  # z at 0 meets every bound that names a z
+        if not out:
+            # each z variable's cap: the meet of its bounds on it alone
+            caps = [functools.reduce(int.__and__, (bvals[bi] for o, bi in act if not o), one) for act in activated[:m]]
+            for s, cap in zip(zs, caps):
+                env[s] = cap
+            out = dfs(0)
         for s, v in zip(zs, saved):
             env[s] = v
+        del dfs  # a recursive closure is a reference cycle: end it here, so the session's memos die with env
         return out
 
     def run(env) -> bool:
-        key = 0
-        for s in vkeys:
-            key = key << k | env[s]
+        key = verdict_key(env)
         memos = env[0]
         if memos[verdict_at] is None:  # the block's first run in this session
             memos[verdict_at], memos[body_at] = {}, {}
@@ -674,43 +703,48 @@ def is_monotone(
     v <= `exhaustive_vars` and the truth table has at most 2^18 entries,
     k * v <= 18 on a core of k atoms (covering relations step one atom at a
     time, which suffices in a finite Boolean algebra); otherwise 1,000
-    seeded random comparable pairs. f is compiled once; its evaluations
-    share one session and its guarded memos, dicts at every key width. A
-    sampled low mask is drawn inline as `randrange(2^k)` would draw it:
-    k + 1 random bits, redrawn until below 2^k."""
-    names = free_bvars(f)
-    if not names:
-        return True
+    seeded random comparable pairs, the high one run only where the low one
+    holds. f is compiled once, and is monotone outright if it is closed or
+    compiles to a constant; its evaluations share one session and memos.
+
+    The pairs are what `randrange(2^k)` per low mask and `random() < 0.5`
+    per high bit would draw, and each decision reads one 32-bit Mersenne
+    Twister word's top byte: a low mask is a word's top k + 1 bits, redrawn
+    while the top one is set, and a coin takes two words, heads iff the
+    first one's top bit is clear. `getrandbits(32 * W)` holds the next W
+    words, word i in bits 32i..32i + 31, so its little-endian bytes [3::4]
+    are their top bytes in order."""
     k = len(B.core)
     prog = _Program(f, k)
+    v, one, run = len(prog.names), prog.one, prog.run
+    if not v or prog.constant:
+        return True
     env = prog.session()
 
     def sat(masks: Iterable[int]) -> bool:
-        for s, x in zip(prog.free, masks):
-            env[s] = x
-        return prog.run(env)
+        env[1 : v + 1] = masks  # _Program gives the free variables slots 1..v, in order
+        return run(env)
 
-    if len(names) <= exhaustive_vars and k * len(names) <= 18:
+    if v <= exhaustive_vars and k * v <= 18:
         # entry idx packs the variables' masks, k bits each
-        truth = bytearray(map(sat, itertools.product(range(prog.one + 1), repeat=len(names))))
-        return _monotone_table(truth, k * len(names))
-    rng = random.Random(seed)
-    getrandbits, rand, size, bits = rng.getrandbits, rng.random, prog.one + 1, [1 << i for i in range(k)]
+        truth = bytearray(map(sat, itertools.product(range(one + 1), repeat=v)))
+        return _monotone_table(truth, k * v)
+    # a top byte read: 0xff if its top bit is set (a redrawn mask, or tails), else its next k bits
+    table = bytes(b >> 7 - k if b < 128 else 255 for b in range(256))
+    heads = bytes(b"01"[b < 255] for b in range(256))
+    coins = 2 * k * v  # words: two per random()
+    # a pair: v low masks, each after the draws it redrew, then the coins
+    pair = re.compile(b"(?:\xff*[^\xff]){%d}.{%d}" % (v, coins), re.S)
+    rng, words, pos = random.Random(seed), b"", 0  # this call's own Random: drawing past the last pair is harmless
     for _ in range(1000):
-        lo = []
-        for _ in names:
-            x = getrandbits(k + 1)
-            while x >= size:
-                x = getrandbits(k + 1)
-            lo.append(x)
-        hi = []
-        for x in lo:
-            for bit in bits:
-                if rand() < 0.5:
-                    x |= bit
-            hi.append(x)
-        if sat(lo) and not sat(hi):
-            return False
+        while (m := pair.match(words, pos)) is None:
+            words, pos = words[pos:] + rng.getrandbits(32 * 4096).to_bytes(4 * 4096, "little")[3::4].translate(table), 0
+        span, pos = m.group(), m.end()
+        lo = span[:-coins].replace(b"\xff", b"")
+        if sat(lo):
+            up = int(span[-coins::2].translate(heads)[::-1], 2)  # bit k*i + j: heads for variable i's bit j
+            if not sat([x | up >> s & one for x, s in zip(lo, range(0, k * v, k))]):
+                return False
     return True
 
 

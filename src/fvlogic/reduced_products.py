@@ -22,7 +22,7 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from .boolean_ideals import IdealSpec, fubini, ideal_from_json, limsup_ideal
 from .structures import MAX_UNIVERSE, FiniteStructure, Point, evaluate, map_failures, to_json as structure_to_json, validate
-from .syntax import Atomic, Dist, Formula, Signature, free_vars
+from .syntax import Atomic, Dist, Formula, Signature, check_keys, free_vars
 
 MAX_PRODUCT_POINTS = 4096
 
@@ -234,6 +234,7 @@ def family_documents(doc: Mapping) -> tuple[IdealSpec, Mapping[str, Mapping]]:
     document of the wrong shape raises ValueError."""
     if not (isinstance(doc, dict) and "ideal" in doc and isinstance(doc.get("structures"), dict)):
         raise ValueError("a family document must be an object with an 'ideal' and a 'structures' object")
+    check_keys(doc, ("ideal", "structures"), "a family document")
     ideal = ideal_from_json(doc["ideal"])
     raw = doc["structures"]
     if set(raw) != set(ideal.omega):

@@ -479,10 +479,11 @@ def _is_list_of(x: Any, n: int) -> bool:
 
 
 def from_json(doc: Mapping, sig: Signature) -> FiniteStructure:
-    """Read a structure document; a document of the wrong shape raises
-    ValueError before any table is built."""
+    """Read a structure document, a product's `class_map` aside; one of the
+    wrong shape or with an unknown key raises ValueError before any table is built."""
     if not isinstance(doc, dict) or not isinstance(doc.get("universe"), list):
         raise ValueError("a structure document must be an object with a 'universe' list of labels")
+    sx.check_keys(doc, ("universe", "dist", "preds", "funcs", "consts", "class_map"), "a structure document")
     U = tuple(str(a) for a in doc["universe"])
     rows = doc["dist"]
     if not (_is_list_of(rows, len(U)) and all(_is_list_of(row, len(U)) for row in rows)):

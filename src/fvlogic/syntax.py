@@ -116,10 +116,18 @@ class Signature:
         return name in self.consts
 
 
+def check_keys(doc: Mapping, allowed: tuple, what: str) -> None:
+    """Refuse a document with a key outside `allowed`: ValueError naming it."""
+    extra = sorted(doc.keys() - set(allowed))
+    if extra:
+        raise ValueError(f"unknown key {extra[0]!r} in {what}")
+
+
 def signature_from_json(doc: Mapping) -> Signature:
     """Read a signature document; one of the wrong shape raises ValueError."""
     if not isinstance(doc, dict):
         raise ValueError("a signature document must be an object")
+    check_keys(doc, ("preds", "funcs", "consts"), "a signature document")
     preds, funcs, consts = (doc.get(key, []) for key in ("preds", "funcs", "consts"))
     if not all(isinstance(x, list) for x in (preds, funcs, consts)):
         raise ValueError("signature 'preds', 'funcs' and 'consts' must be lists")

@@ -412,12 +412,27 @@ GUARDED_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("g", GUARDED_SHAPES)
+# blocks whose body holds at z = 0 on some assignments only, one of them
+# under a bound over free variables alone that the probe must not skip
+_y1, _y2, _y3, _z1, _z2 = map(BVar, ("y1", "y2", "y3", "z1", "z2"))
+PROBE_BLOCKS = [
+    GuardedExists(("z1",), ((("z1",), _y1),), TermLe(_y2, BJoin(_z1, _y3))),
+    GuardedExists(("z1",), ((("z1",), _y1), (("y1",), _y2)), TermLe(_y3, BJoin(_z1, _y3))),
+    GuardedExists(
+        ("z1", "z2"),
+        ((("z1",), _y1), (("z1", "z2"), _y2)),
+        BAnd((TermLe(_y3, BJoin(_z1, _z2)), NotZero(BJoin(BCompl(_y1), _z2)))),
+    ),
+]
+
+
+@pytest.mark.parametrize("g", GUARDED_SHAPES + PROBE_BLOCKS)
 def test_guarded_matches_raw_expansion(g):
     algebras = [
         quotient(trivial_ideal((1, 2))),
         quotient(close_ideal((1, 2, 3), [{1}])),
         quotient(trivial_ideal((1,))),
+        quotient(trivial_ideal((1, 2, 3))),
     ]
     names = free_bvars(g)
     raw = expand_guarded(g)
@@ -1112,3 +1127,148 @@ def test_closed_formulas_agree_on_isomorphic_quotients():
     ]
     for f in sentences:
         assert ba_eval(B1, f, {}) == ba_eval(B2, f, {})
+
+
+# --------------------------------------------------------------------------
+# guarded blocks that fold, and the bottom probe
+
+
+def folding_blocks():
+    """Guarded blocks whose body folds to a constant, with and without
+    bounds over free variables alone, and blocks nested like the
+    translator's: an outer block whose body is an inner block over `1`."""
+    y1, y2, y3, z1, z2, w1, w2 = map(BVar, ("y1", "y2", "y3", "z1", "z2", "w1", "w2"))
+    z_bounds = ((("z1",), y1), (("z2",), BCompl(y2)), (("z1", "z2"), y3))
+    free_bounds = ((("y1",), y2), (("y2", "y3"), BCompl(y1)))
+    bodies = [b_true(), NotZero(BOne()), b_false(), NotZero(BZero()), BAnd((NotZero(BOne()), TermLe(BZero(), BOne())))]
+    out = [GuardedExists(("z1", "z2"), bounds, body) for body in bodies for bounds in (z_bounds, z_bounds + free_bounds, ())]
+    # the inner block's bounds all name its own variables, so it is `1`,
+    # and the outer block keeps only its bounds over free variables
+    inner = GuardedExists(("w1", "w2"), ((("w1",), z1), (("w2",), z2), (("w1", "w2"), BMeet(z1, y2))), NotZero(BOne()))
+    for bounds in (z_bounds, z_bounds + free_bounds):
+        out.append(GuardedExists(("z1", "z2"), bounds, inner))
+        out.append(GuardedExists(("z1", "z2"), bounds, BAnd((inner, inner))))
+    # an inner block over a false body makes the outer one false
+    out.append(GuardedExists(("z1", "z2"), z_bounds + free_bounds, GuardedExists(inner.zvars, inner.bounds, b_false())))
+    return out
+
+
+def test_constant_guarded_bodies_fold_and_match_reference():
+    for size in (1, 2, 3):
+        B = quotient(trivial_ideal(tuple(range(size))))
+        for g in folding_blocks():
+            prog = bi._Program(g, size)
+            # folded at compile time: no block is searched
+            assert prog.memos == 0, to_prefix(g)
+            names = free_bvars(g)
+            raw = expand_guarded(g)
+            for combo in itertools.product(B.elements, repeat=len(names)):
+                env = dict(zip(names, combo))
+                assert ba_eval(B, g, env) == reference_ba_eval(B, raw, env), (size, to_prefix(g), env)
+    # a block over a true body and bounds that all name a z is `1` outright
+    assert bi._Program(folding_blocks()[0], 2).constant
+
+
+
+
+def test_is_monotone_on_a_formula_that_folds_runs_nothing(monkeypatch):
+    monkeypatch.setattr(bi, "_Program", _Budget)
+    monkeypatch.setattr(_Budget, "limit", 0)
+    ys = [NotZero(BVar(f"y{i}")) for i in range(10)]
+    # the blocks with no bound over free variables alone fold to constants;
+    # the last two formulas have 10 variables, so they would be sampled
+    blocks = [g for g in folding_blocks() if all({"z1", "z2"} & set(m) for m, _ in g.bounds)]
+    formulas = blocks + [BAnd((ys[0], b_false())), BAnd((*ys, b_false())), BOr((*ys, b_true()))]
+    assert len(formulas) == 15
+    for k in (1, 3):
+        B = quotient(trivial_ideal(tuple(range(k))))
+        for f in formulas:
+            assert is_monotone(f, B), to_prefix(f)
+            assert _Budget.last.count == 0
+
+
+class _FalseRecorder(_Recorder):
+    """A program that holds nowhere and records every assignment it is run on."""
+
+    def __init__(self, f, k):
+        super().__init__(f, k)
+        self.run = lambda env: self.seen.append([env[s] for s in self.free]) or False
+
+
+class _AlternatingRecorder(_Recorder):
+    """A program that holds on every second low assignment and on every
+    high one, which it expects right after a low one it held on; it records
+    each assignment with whether it took it for a high one."""
+
+    def __init__(self, f, k):
+        super().__init__(f, k)
+        self.lows, self.high_next = 0, False
+
+        def run(env):
+            self.seen.append(([env[s] for s in self.free], self.high_next))
+            if self.high_next:
+                self.high_next = False
+                return True
+            self.lows += 1
+            self.high_next = self.lows % 2 == 0
+            return self.high_next
+
+        self.run = run
+
+
+def test_sampled_route_runs_a_high_assignment_only_after_a_true_low_one(monkeypatch):
+    for k, count in ((1, 1), (1, 12), (2, 3), (3, 7), (5, 2), (6, 4)):
+        B = quotient(trivial_ideal(tuple(range(k))))
+        names = [f"y{i}" for i in range(count)]
+        f = BAnd(tuple(NotZero(BVar(v)) for v in names))
+        seed = 10 * k + count
+        monkeypatch.setattr(bi, "_Program", _FalseRecorder)
+        assert is_monotone(f, B, seed=seed, exhaustive_vars=0)
+        want = reference_pairs(names, _Recorder.last, k, seed)
+        # every low assignment of the stream, in order, and no high one
+        assert _Recorder.last.seen == [lo for lo, _ in want], (k, count)
+        monkeypatch.setattr(bi, "_Program", _AlternatingRecorder)
+        assert is_monotone(f, B, seed=seed, exhaustive_vars=0)
+        expected = []
+        for i, (lo, hi) in enumerate(want):
+            expected.append((lo, False))
+            if i % 2:
+                expected.append((hi, True))
+        assert _Recorder.last.seen == expected, (k, count)
+
+
+def test_memo_keys_at_the_widest_core():
+    # on MAX_OMEGA atoms every mask up to 63 is a key byte: a one-slot memo
+    # keys on the mask itself, a wider one on the masks' bytes in slot order
+    k = bi.MAX_OMEGA
+    B = quotient(trivial_ideal(tuple(range(k))))
+    y1, y2, y3, z1, z2 = map(BVar, ("y1", "y2", "y3", "z1", "z2"))
+    narrow = GuardedExists(("z1",), ((("z1",), BCompl(y1)),), NotZero(z1))
+    wide = GuardedExists(
+        ("z1", "z2"),
+        ((("z1",), y1), (("z2",), y2), (("z1", "z2"), y3)),
+        BAnd((NotZero(BMeet(z1, y2)), NotZero(BMeet(z2, BCompl(y1))))),
+    )
+    rng = random.Random(6)
+    for g in (narrow, wide):
+        names = free_bvars(g)
+        prog = bi._Program(g, k)
+        assert prog.memos == 2
+        session = prog.session()
+        combos = [[rng.randrange(64) for _ in names] for _ in range(4)]
+        combos = [c[:i] + [x] + c[i + 1 :] for c in combos for i in range(len(names)) for x in range(64)]
+        verdicts = []
+        for combo in combos:
+            session[1 : len(names) + 1] = combo
+            env = {name: frozenset(a for a in B.core if x >> B.core.index(a) & 1) for name, x in zip(names, combo)}
+            want = reference_ba_eval(B, g, env)
+            assert prog.run(session) == want, (to_prefix(g), combo)
+            verdicts.append(want)
+        assert len(set(verdicts)) == 2
+        body_memo, verdict_memo = session[0]
+        if g is narrow:
+            assert set(verdict_memo) == {c[0] for c in combos} == set(range(64))
+            assert all(type(key) is int for key in body_memo)
+        else:
+            assert set(verdict_memo) == {bytes(c) for c in combos}
+            assert {len(key) for key in body_memo} == {len(free_bvars(g.body))} == {4}

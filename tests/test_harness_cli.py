@@ -775,6 +775,34 @@ def test_cli_rp_refuses_an_unknown_ideal_key_in_one_line(files, capsys):
     assert out == "" and err.splitlines() == ["error: unknown key 'sstar' in an ideal document"]
 
 
+@pytest.mark.parametrize(
+    "name, key, argv",
+    [
+        ("s.json", "constants", ["eval", "--formula", "0", "--structure", "{}"]),
+        ("sig.json", "lipschitz", ["translate", "--formula", "0", "--n", "0", "--sig", "{}"]),
+        ("fam.json", "sig", ["rp", "--family", "{}"]),
+    ],
+)
+def test_cli_refuses_an_unknown_document_key_in_one_line(files, capsys, name, key, argv):
+    # a key the writer never uses (here a misspelt or misplaced one) is refused, not ignored
+    tmp = files[0]
+    doc = json.loads((tmp / name).read_text())
+    doc[key] = []
+    (tmp / "bad.json").write_text(json.dumps(doc))
+    assert hc.cli([a.format(tmp / "bad.json") for a in argv]) == 2
+    out, err = capsys.readouterr()
+    what = {"s.json": "structure", "sig.json": "signature", "fam.json": "family"}[name]
+    assert out == "" and err.splitlines() == [f"error: unknown key {key!r} in a {what} document"]
+
+
+def test_cli_reads_back_the_class_map_that_rp_writes(files, capsys):
+    tmp = files[0]
+    assert hc.cli(["rp", "--family", str(tmp / "fam.json"), "--sig", str(tmp / "sig.json"), "--out", str(tmp / "rp.json")]) == 0
+    assert "class_map" in json.loads((tmp / "rp.json").read_text())
+    capsys.readouterr()
+    assert hc.cli(["eval", "--formula", "0", "--structure", str(tmp / "rp.json"), "--sig", str(tmp / "sig.json")]) == 0
+
+
 def test_cli_rp_needs_inputs(files):
     assert hc.cli(["rp"]) == 2
 
