@@ -244,19 +244,23 @@ class GuardedExists:
     """Existential block over generator variables with meet-bounds.
 
     Each bound ((v1..vk), t) asserts meet(v1..vk) <= t where t is a term
-    over free variables. Semantically identical to `expand_raw`. Compiled,
-    a block whose body is an `or` splits into one block per disjunct
-    (`_split`). Every z at 0 meets each bound that names a z, so a constant
-    body folds the block to false or to its bounds over free variables
-    alone, and a search first reads the body with every z at 0; then it
-    tries z values over class bitmasks, largest first and below the caps
-    their one-variable bounds set, reading the body with the variables not
-    yet chosen at their caps: as the body is monotone in them, a false
-    reading prunes the candidate and every class below it. A searched
-    block's verdict and its body's values are memoized per evaluation
-    session, keyed on the free variables of the block and of the body
-    (`_key`). A block whose body `proves_monotone` cannot vouch for, or
-    whose bounds mention its own variables, compiles as its raw expansion."""
+    over free variables. Semantically identical to `expand_raw`. Every z
+    at 0 meets each bound that names a z, so, compiled (`_guarded`), a
+    block whose body is an `or` splits into one block per disjunct, and a
+    z that the body does not read drops out with its bounds (`_split`).
+    Where the body is monotone in z and no bound meets two z, each z ranges
+    over the classes below its cap (`_caps`), so the block is its bounds
+    over free variables alone and the body read at the caps. Otherwise a
+    constant body folds the block to false or to those bounds, and a search
+    first reads the body with every z at 0; then it tries z values over
+    class bitmasks, largest first and below the caps their one-variable
+    bounds set, reading the body with the variables not yet chosen at their
+    caps: as the body is monotone in them, a false reading prunes the
+    candidate and every class below it. A searched block's verdict and its
+    body's values are memoized per evaluation session, keyed on the free
+    variables of the block and of the body (`_key`). A block whose body
+    `proves_monotone` cannot vouch for, or whose bounds mention its own
+    variables, compiles as its raw expansion."""
 
     zvars: tuple[str, ...]
     bounds: tuple[tuple[tuple[str, ...], BTerm], ...]
@@ -547,27 +551,53 @@ def _key(slots: list) -> Callable:
 
 def _split(g: GuardedExists, d: BooleanFormula) -> BooleanFormula:
     """g with body d over the z free in d and the bounds meeting no other z
-    (exact: a dropped z at 0 meets its bounds at 0); no z left, a conjunction."""
+    (exact: a dropped z at 0 meets its bounds at 0); no z left, a conjunction
+    of the bounds over free variables alone and d."""
     dropped = set(g.zvars).difference(free_bvars(d))
     zs = tuple(z for z in g.zvars if z not in dropped)
     part = GuardedExists(zs, tuple(b for b in g.bounds if dropped.isdisjoint(b[0])), d)
     return part if zs else part.expand_raw()
 
 
+def _caps(g: GuardedExists) -> Optional[dict]:
+    """Each z's cap: the meet over its bounds of t, or of t | ~meet(r) for
+    a bound whose meet also holds free variables r, as z & r <= t iff
+    z <= t | ~r; 1 with no bound. None where a bound meets two z, or where
+    a binder in the body would capture a name that a cap reads."""
+    caps: dict = dict.fromkeys(g.zvars, BOne())
+    for meet_vars, t in g.bounds:
+        zs, rest = {v for v in meet_vars if v in caps}, [BVar(v) for v in meet_vars if v not in caps]
+        if len(zs) > 1:
+            return None
+        if zs:
+            (z,) = zs
+            t = BJoin(t, BCompl(functools.reduce(BMeet, rest))) if rest else t
+            caps[z] = t if caps[z] == BOne() else BMeet(caps[z], t)
+    binds = lambda h: set(_binders(h)).union(*map(binds, _children(h)))  # every name bound in h
+    return caps if binds(g.body).isdisjoint(v for t in caps.values() for v in free_bvars(t)) else None
+
+
 def _guarded(c: _Program, g: GuardedExists) -> Callable:
-    """A guarded block compiled (see GuardedExists): split at an `or` body,
-    each part compiled here again, else the pruned witness search behind a
-    verdict memo, or the raw expansion where the bounds mention z or pruning
-    is not provably sound."""
+    """A guarded block compiled (see GuardedExists), each rewrite compiled
+    here again: split at an `or` body, the z its body does not read dropped,
+    a block whose bounds meet one z each read at its caps; else the pruned
+    witness search behind a verdict memo, or the raw expansion where the
+    bounds mention z or pruning is not provably sound."""
     zset = set(g.zvars)
     own = any(zset.intersection(free_bvars(t)) for _, t in g.bounds)
     if isinstance(g.body, BOr) and not own:
         return c.compile(BOr(tuple(_split(g, d) for d in g.body.args)))
+    if not own and not zset.issubset(free_bvars(g.body)):
+        return c.compile(_split(g, g.body))
     if own or not proves_monotone(g.body, zset):
         return c.compile(g.expand_raw())
+    rest = tuple(b for b in g.bounds if zset.isdisjoint(b[0]))  # the bounds over free variables alone
+    caps = _caps(g)
+    if caps is not None:  # each z ranges over the classes below its cap, and the body is monotone in z
+        return c.compile(GuardedExists((), rest, subst_bvars(g.body, caps)).expand_raw())
     body = c.compile(g.body)
     if body in c.value:  # z at 0 meets every bound that names a z: the others and the body remain
-        return c.compile(GuardedExists((), tuple(b for b in g.bounds if zset.isdisjoint(b[0])), g.body).expand_raw())
+        return c.compile(GuardedExists((), rest, g.body).expand_raw())
     one = c.one
     down = [sum(1 << s for s in range(e + 1) if not s & ~e) for e in range(one + 1)]
     zs = [c.slot(z) for z in g.zvars]

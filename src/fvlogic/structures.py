@@ -483,7 +483,7 @@ def from_json(doc: Mapping, sig: Signature) -> FiniteStructure:
     wrong shape or with an unknown key raises ValueError before any table is built."""
     if not isinstance(doc, dict) or not isinstance(doc.get("universe"), list):
         raise ValueError("a structure document must be an object with a 'universe' list of labels")
-    sx.check_keys(doc, ("universe", "dist", "preds", "funcs", "consts", "class_map"), "a structure document")
+    sx.check_keys(doc, ("universe", "dist", "preds", "funcs", "consts", "class_map"), "a structure document", ("dist",))
     U = tuple(str(a) for a in doc["universe"])
     rows = doc["dist"]
     if not (_is_list_of(rows, len(U)) and all(_is_list_of(row, len(U)) for row in rows)):
@@ -517,9 +517,11 @@ def from_json(doc: Mapping, sig: Signature) -> FiniteStructure:
         return x
 
     tables = {key: doc.get(key, {}) for key in ("preds", "funcs", "consts")}
+    declared = {"preds": [p.name for p in sig.preds], "funcs": [f.name for f in sig.funcs], "consts": sig.consts}
     for key, table in tables.items():
         if not isinstance(table, dict):
             raise ValueError(f"'{key}' must be an object")
+        sx.check_keys(table, table, f"the structure's '{key}'", declared[key])
     preds = {p.name: untensor(tables["preds"][p.name], p.arity, parse_fraction) for p in sig.preds}
     funcs = {f.name: untensor(tables["funcs"][f.name], f.arity, as_point) for f in sig.funcs}
     consts = {name: as_point(tables["consts"][name]) for name in sig.consts}

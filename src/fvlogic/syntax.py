@@ -32,7 +32,7 @@ import operator
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 RESERVED_NAMES = frozenset({"sup", "inf", "half", "min", "max", "neg", "const", "d"})
 
@@ -116,11 +116,15 @@ class Signature:
         return name in self.consts
 
 
-def check_keys(doc: Mapping, allowed: tuple, what: str) -> None:
-    """Refuse a document with a key outside `allowed`: ValueError naming it."""
+def check_keys(doc: Mapping, allowed: Iterable, what: str, required: Iterable = ()) -> None:
+    """Refuse a document with a key outside `allowed`, or without a key of
+    `required`: ValueError naming the first such key."""
     extra = sorted(doc.keys() - set(allowed))
     if extra:
         raise ValueError(f"unknown key {extra[0]!r} in {what}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"{what} has no {missing[0]!r}")
 
 
 def signature_from_json(doc: Mapping) -> Signature:
@@ -131,8 +135,13 @@ def signature_from_json(doc: Mapping) -> Signature:
     preds, funcs, consts = (doc.get(key, []) for key in ("preds", "funcs", "consts"))
     if not all(isinstance(x, list) for x in (preds, funcs, consts)):
         raise ValueError("signature 'preds', 'funcs' and 'consts' must be lists")
-    if not all(isinstance(x, dict) and isinstance(x.get("arity"), (int, str)) for x in preds + funcs):
-        raise ValueError("every signature symbol must be an object with an 'arity'")
+    keys = ("name", "arity", "lipschitz")
+    for x in preds + funcs:
+        if not isinstance(x, dict):
+            raise ValueError("every signature symbol must be an object")
+        check_keys(x, keys, "a signature symbol", keys)
+        if not isinstance(x["arity"], (int, str)):
+            raise ValueError(f"the arity of {x['name']!r} must be an integer")
     return Signature(
         preds=tuple(PredSym(str(p["name"]), int(p["arity"]), parse_fraction(p["lipschitz"])) for p in preds),
         funcs=tuple(FuncSym(str(f["name"]), int(f["arity"]), parse_fraction(f["lipschitz"])) for f in funcs),

@@ -409,6 +409,54 @@ GUARDED_SHAPES = [
             GuardedExists(("z",), ((("z",), BVar("y1")),), NotZero(BMeet(BVar("z"), BCompl(BVar("y2"))))),
         )
     ),
+    # blocks with a bound that meets two z, which keep the witness search:
+    # two z, each below its own bound and disjoint below a third
+    GuardedExists(
+        ("z1", "z2"),
+        ((("z1",), BVar("y1")), (("z2",), BVar("y2")), (("z1", "z2"), BZero())),
+        BAnd((NotZero(BVar("z1")), NotZero(BVar("z2")))),
+    ),
+    # the joint bound also meets a free variable, and z2 has no bound of its own
+    GuardedExists(
+        ("z1", "z2"),
+        ((("z1",), BVar("y1")), (("z1", "z2", "y3"), BCompl(BVar("y2")))),
+        BAnd((NotZero(BMeet(BVar("z1"), BVar("y2"))), TermLe(BVar("y3"), BJoin(BVar("z1"), BVar("z2"))))),
+    ),
+    # a bound over free variables alone next to the joint one
+    GuardedExists(
+        ("z1", "z2"),
+        ((("y1",), BVar("y2")), (("z1", "z2"), BVar("y1")), (("z2",), BCompl(BVar("y3")))),
+        NotZero(BMeet(BJoin(BVar("z1"), BVar("y3")), BVar("z2"))),
+    ),
+    # three z, of which only z2 and z3 meet in a bound
+    GuardedExists(
+        ("z1", "z2", "z3"),
+        ((("z1",), BVar("y1")), (("z2",), BVar("y2")), (("z2", "z3"), BCompl(BVar("y1")))),
+        BAnd((NotZero(BMeet(BVar("z1"), BVar("z3"))), NotZero(BVar("z2")))),
+    ),
+    # a searched block over an inner block read at its cap, which reads z1
+    GuardedExists(
+        ("z1", "z2"),
+        ((("z1",), BVar("y1")), (("z1", "z2"), BVar("y2"))),
+        BAnd(
+            (
+                NotZero(BVar("z2")),
+                GuardedExists(("w",), ((("w",), BJoin(BVar("z1"), BVar("y3"))),), NotZero(BMeet(BVar("w"), BVar("y2")))),
+            )
+        ),
+    ),
+    # a joint bound whose two z are the same class at most: z1 & z2 <= y1 & y2
+    GuardedExists(
+        ("z1", "z2"),
+        ((("z1", "z2"), BMeet(BVar("y1"), BVar("y2"))),),
+        BAnd((TermLe(BVar("y3"), BJoin(BVar("z1"), BVar("z2"))), NotZero(BMeet(BVar("z1"), BVar("z2"))))),
+    ),
+    # a joint bound that meets the same z twice and another z once
+    GuardedExists(
+        ("z1", "z2"),
+        ((("z1", "z1", "z2"), BVar("y1")), (("z2",), BCompl(BVar("y2")))),
+        NotZero(BMeet(BVar("z1"), BJoin(BVar("z2"), BVar("y2")))),
+    ),
 ]
 
 
@@ -1243,7 +1291,9 @@ def test_memo_keys_at_the_widest_core():
     k = bi.MAX_OMEGA
     B = quotient(trivial_ideal(tuple(range(k))))
     y1, y2, y3, z1, z2 = map(BVar, ("y1", "y2", "y3", "z1", "z2"))
-    narrow = GuardedExists(("z1",), ((("z1",), BCompl(y1)),), NotZero(z1))
+    # the body binds y1, which z1's cap ~y1 reads, so the block is searched
+    # and its body memo keys on z1 alone
+    narrow = GuardedExists(("z1",), ((("z1",), BCompl(y1)),), BExists("y1", NotZero(BMeet(z1, y1))))
     wide = GuardedExists(
         ("z1", "z2"),
         ((("z1",), y1), (("z2",), y2), (("z1", "z2"), y3)),
@@ -1272,3 +1322,88 @@ def test_memo_keys_at_the_widest_core():
         else:
             assert set(verdict_memo) == {bytes(c) for c in combos}
             assert {len(key) for key in body_memo} == {len(free_bvars(g.body))} == {4}
+
+
+# --------------------------------------------------------------------------
+# guarded blocks rewritten at compile time: unread z dropped, one-z blocks
+# read at their caps
+
+
+def rewrite_blocks(rng: random.Random, count: int) -> list:
+    """Seeded guarded blocks over 1-3 z and the free y1, y2. A bound meets
+    one z, one z and a free variable, no z, or two z; the body is an atom or
+    a conjunction of atoms, monotone in z, that may skip some z, and may
+    nest a block whose bound reads an outer z."""
+    y1, y2 = BVar("y1"), BVar("y2")
+    yterms = [y1, y2, BCompl(y1), BMeet(y1, y2), BJoin(y1, BCompl(y2)), BOne(), BZero()]
+    out = []
+    for _ in range(count):
+        zs = [f"z{i}" for i in range(rng.randint(1, 3))]
+        bounds = []
+        for _ in range(rng.randint(0, 3)):
+            meet = [
+                (rng.choice(zs),),
+                (rng.choice(zs), rng.choice(("y1", "y2"))),
+                (rng.choice(("y1", "y2")),),
+                tuple(rng.sample(zs, 2)) if len(zs) > 1 else (zs[0], zs[0]),
+            ][rng.randrange(4)]
+            bounds.append((meet, rng.choice(yterms)))
+        atoms = []
+        for z in map(BVar, rng.sample(zs, rng.randint(1, len(zs)))):
+            atoms.append(
+                rng.choice(
+                    [
+                        NotZero(z),
+                        NotZero(BMeet(z, rng.choice(yterms))),
+                        TermLe(rng.choice(yterms), BJoin(z, rng.choice(yterms))),
+                    ]
+                )
+            )
+        if rng.random() < 0.3:
+            w = BVar("w")
+            inner = ((("w",), BJoin(BVar(rng.choice(zs)), rng.choice(yterms))),)
+            atoms.append(GuardedExists(("w",), inner, NotZero(BMeet(w, rng.choice(yterms)))))
+        out.append(GuardedExists(tuple(zs), tuple(bounds), BAnd(tuple(atoms)) if len(atoms) > 1 else atoms[0]))
+    return out
+
+
+def test_rewritten_blocks_match_reference():
+    # the capture case: the body binds y1, which z's cap y2 | ~y1 reads,
+    # so the block keeps its search
+    y1, y2, z = BVar("y1"), BVar("y2"), BVar("z")
+    capture = GuardedExists(("z",), ((("z", "y1"), y2),), BExists("y1", BAnd((NotZero(BMeet(z, y1)), TermLe(y1, y2)))))
+    blocks = rewrite_blocks(random.Random(24), 120) + [capture]
+    searched = 0
+    for size in (1, 2, 3):
+        B = quotient(trivial_ideal(tuple(range(size))))
+        for g in blocks:
+            prog = bi._Program(g, size)
+            searched += prog.memos > 0
+            session = prog.session()
+            names = free_bvars(g)
+            raw = expand_guarded(g)
+            for combo in itertools.product(B.elements, repeat=len(names)):
+                env = dict(zip(names, combo))
+                want = reference_ba_eval(B, raw, env)
+                assert ba_eval(B, g, env) == want, (size, to_prefix(g), env)
+                for s, X in zip(prog.free, combo):
+                    session[s] = B.mask(X)
+                assert prog.run(session) == want, (size, to_prefix(g), env)
+        assert bi._Program(capture, size).memos == 2
+    # the seeded blocks take every route: some are searched, most are not
+    assert 3 < searched < 3 * len(blocks) // 2
+
+
+def test_unread_z_leave_no_search():
+    # the shape of the sweep's 4-variable sigmas: four z under their own
+    # bounds, a body that reads one of them, on a 3-atom core
+    zs = [f"z[0][{i}]" for i in range(4)]
+    bounds = tuple(((z,), BVar(f"y[{i}][1]")) for i, z in enumerate(zs))
+    B = quotient(trivial_ideal((1, 2, 3)))
+    for i, z in enumerate(zs):
+        g = GuardedExists(tuple(zs), bounds, NotZero(BVar(z)))
+        assert bi._Program(g, 3).memos == 0
+        names = free_bvars(g)
+        # true iff z's bound is not 0: z at its bound and every other z at 0
+        for combo in itertools.product(B.elements, repeat=len(names)):
+            assert ba_eval(B, g, dict(zip(names, combo))) == bool(combo[i])

@@ -756,6 +756,44 @@ def test_cli_rp_family_rejects_a_list_table_in_a_later_document(files, capsys, k
     assert out == "" and err.splitlines() == [f"error: '{key}' must be an object"]
 
 
+def missing_or_extra(where):
+    """An edit that drops a symbol's name, adds a key to a symbol, or drops
+    a structure's distances, its constant c or its predicate P."""
+
+    def edit(sdoc, fdoc, sigdoc):
+        if where == "name":
+            del sigdoc["preds"][0]["name"]
+        elif where == "extra":
+            sigdoc["preds"][0]["foo"] = 1
+        for doc in (sdoc, *fdoc["structures"].values()):
+            if where == "dist":
+                del doc["dist"]
+            elif where in ("consts", "preds"):
+                doc[where].clear()
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    ("where", "message"),
+    [
+        ("name", "a signature symbol has no 'name'"),
+        ("extra", "unknown key 'foo' in a signature symbol"),
+        ("dist", "a structure document has no 'dist'"),
+        ("consts", "the structure's 'consts' has no 'c'"),
+        ("preds", "the structure's 'preds' has no 'P'"),
+    ],
+)
+def test_cli_names_a_missing_or_unknown_key_in_one_line(files, capsys, where, message):
+    argv = malformed_inputs(files, missing_or_extra(where))
+    if where in ("name", "extra"):
+        argv.append(["translate", "--formula", "P(c)", "--n", "0", "--sig", str(files[0] / "bad_sig.json")])
+    for args in argv:
+        assert hc.cli(args) == 2, args
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [f"error: {message}"], args
+
+
 def test_cli_eval_refuses_an_exponent_entry_in_one_line(files, capsys):
     tmp, _, s, _ = files
     doc = to_json(s)
