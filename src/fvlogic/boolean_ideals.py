@@ -250,7 +250,8 @@ class GuardedExists:
     z that the body does not read drops out with its bounds (`_split`).
     Where the body is monotone in z and no bound meets two z, each z ranges
     over the classes below its cap (`_caps`), so the block is its bounds
-    over free variables alone and the body read at the caps. Otherwise a
+    over free variables alone and the body read at the caps, unless a
+    nested bound's meet names a z, which a cap cannot replace. Otherwise a
     constant body folds the block to false or to those bounds, and a search
     first reads the body with every z at 0; then it tries z values over
     class bitmasks, largest first and below the caps their one-variable
@@ -593,8 +594,11 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
         return c.compile(g.expand_raw())
     rest = tuple(b for b in g.bounds if zset.isdisjoint(b[0]))  # the bounds over free variables alone
     caps = _caps(g)
-    if caps is not None:  # each z ranges over the classes below its cap, and the body is monotone in z
-        return c.compile(GuardedExists((), rest, subst_bvars(g.body, caps)).expand_raw())
+    capped = None if caps is None else subst_bvars(g.body, caps)
+    # each z ranges over the classes below its cap, and the body is monotone
+    # in z; a z left free (a nested bound's meet names it) keeps the search
+    if capped is not None and zset.isdisjoint(free_bvars(capped)):
+        return c.compile(GuardedExists((), rest, capped).expand_raw())
     body = c.compile(g.body)
     if body in c.value:  # z at 0 meets every bound that names a z: the others and the body remain
         return c.compile(GuardedExists((), rest, g.body).expand_raw())

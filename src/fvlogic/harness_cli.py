@@ -284,9 +284,24 @@ class SuiteReport:
         }
 
 
-def _finish(suite: str, seed: int, cases: int, failures: list, findings: list, skipped: list, started: float) -> SuiteReport:
-    ordered = (tuple(sorted(failures, key=lambda f: f.case)), tuple(sorted(findings)), tuple(sorted(skipped)))
-    return SuiteReport(suite, seed, cases, *ordered, time.time() - started)
+def _finish(
+    suite: str,
+    seed: int,
+    cases: int,
+    failures: list[Failure],
+    findings: list[str],
+    skipped: list[str],
+    started: float,
+) -> SuiteReport:
+    return SuiteReport(
+        suite,
+        seed,
+        cases,
+        tuple(sorted(failures, key=lambda f: f.case)),
+        tuple(sorted(findings)),
+        tuple(sorted(skipped)),
+        time.time() - started,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -295,7 +310,11 @@ def _finish(suite: str, seed: int, cases: int, failures: list, findings: list, s
 
 def _atomic_formula(rng: random.Random, sig: Signature) -> Formula:
     base: list[Term] = [Var("x"), Var("y"), *[Const(c) for c in sig.consts]]
-    terms = base + [Apply(f.name, args) for f in sig.funcs for args in itertools.product(base, repeat=f.arity)]
+    terms = base + [
+        Apply(f.name, args)
+        for f in sig.funcs
+        for args in itertools.product(base, repeat=f.arity)
+    ]
     if rng.random() < 0.5 and sig.preds:
         p = rng.choice(sig.preds)
         return Atomic(p.name, tuple(rng.choice(terms) for _ in range(p.arity)))
@@ -308,7 +327,8 @@ def suite_atomic(seed: int, cases: int = 1000) -> SuiteReport:
     rng = random.Random(seed)
     started = time.time()
     failures: list[Failure] = []
-    fam = rp = None
+    fam = None
+    rp = None
     for i in range(cases):
         if i % 10 == 0:
             fam = random_family(UNARY_SIG, rng)

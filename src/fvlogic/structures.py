@@ -521,7 +521,9 @@ def from_json(doc: Mapping, sig: Signature) -> FiniteStructure:
     for key, table in tables.items():
         if not isinstance(table, dict):
             raise ValueError(f"'{key}' must be an object")
-        sx.check_keys(table, table, f"the structure's '{key}'", declared[key])
+        missing = [name for name in declared[key] if name not in table]
+        if missing:
+            raise ValueError(f"the structure's '{key}' has no {missing[0]!r}")
     preds = {p.name: untensor(tables["preds"][p.name], p.arity, parse_fraction) for p in sig.preds}
     funcs = {f.name: untensor(tables["funcs"][f.name], f.arity, as_point) for f in sig.funcs}
     consts = {name: as_point(tables["consts"][name]) for name in sig.consts}

@@ -1372,7 +1372,11 @@ def test_rewritten_blocks_match_reference():
     # so the block keeps its search
     y1, y2, z = BVar("y1"), BVar("y2"), BVar("z")
     capture = GuardedExists(("z",), ((("z", "y1"), y2),), BExists("y1", BAnd((NotZero(BMeet(z, y1)), TermLe(y1, y2)))))
-    blocks = rewrite_blocks(random.Random(24), 120) + [capture]
+    # a nested bound's meet names the outer z, which a cap cannot replace
+    # there, so the outer block keeps its search: the block is y1 <= y2
+    inner = GuardedExists(("w",), ((("w", "z"), BZero()),), NotZero(BMeet(BVar("w"), y1)))
+    nested_meet = GuardedExists(("z",), ((("z",), y2),), BNot(inner))
+    blocks = rewrite_blocks(random.Random(24), 120) + [capture, nested_meet]
     searched = 0
     for size in (1, 2, 3):
         B = quotient(trivial_ideal(tuple(range(size))))
@@ -1390,6 +1394,7 @@ def test_rewritten_blocks_match_reference():
                     session[s] = B.mask(X)
                 assert prog.run(session) == want, (size, to_prefix(g), env)
         assert bi._Program(capture, size).memos == 2
+        assert bi._Program(nested_meet, size).memos == 2
     # the seeded blocks take every route: some are searched, most are not
     assert 3 < searched < 3 * len(blocks) // 2
 
