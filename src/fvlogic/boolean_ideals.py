@@ -243,29 +243,36 @@ class BForall:
 class GuardedExists:
     """Existential block over generator variables with meet-bounds.
 
-    Each bound ((v1..vk), t) asserts meet(v1..vk) <= t where t is a term
-    over free variables. Semantically identical to `expand_raw`. Every z
-    at 0 meets each bound that names a z, so, compiled (`_guarded`), a
-    block whose body is an `or` splits into one block per disjunct, and a
-    z that the body does not read drops out with its bounds (`_split`).
-    Where the body is monotone in z and no bound meets two z, each z ranges
-    over the classes below its cap (`_caps`), so the block is its bounds
-    over free variables alone and the body read at the caps, unless a
-    nested bound's meet names a z, which a cap cannot replace. Otherwise a
-    constant body folds the block to false or to those bounds, and a search
-    first reads the body with every z at 0; then it tries z values over
-    class bitmasks, largest first and below the caps their one-variable
-    bounds set, reading the body with the variables not yet chosen at their
-    caps: as the body is monotone in them, a false reading prunes the
-    candidate and every class below it. A searched block's verdict and its
-    body's values are memoized per evaluation session, keyed on the free
-    variables of the block and of the body (`_key`). A block whose body
-    `proves_monotone` cannot vouch for, or whose bounds mention its own
-    variables, compiles as its raw expansion."""
+    Each bound ((v1..vk), t) asserts meet(v1..vk) <= t, where v1..vk are
+    one or more of the block's own z and t is a term. A meet naming any
+    other variable is refused: z & r <= t iff z <= t | ~r moves a free part
+    r into the term, and a bound with no z is a TermLe outside the block.
+    Semantically identical to `expand_raw`. Every z at 0 meets every bound,
+    so, compiled (`_guarded`), a block whose body is an `or` splits into one
+    block per disjunct, and a z that the body does not read drops out with
+    its bounds (`_split`). Where the body is monotone in z and no bound
+    meets two z, each z ranges over the classes below its cap (`_caps`), so
+    the block is its body read at the caps. Otherwise a constant body is
+    the block's value, and a search first reads the body with every z at 0;
+    then it tries z values over class bitmasks, largest first and below the
+    caps their one-variable bounds set, reading the body with the variables
+    not yet chosen at their caps: as the body is monotone in them, a false
+    reading prunes the candidate and every class below it. A searched
+    block's verdict and its body's values are memoized per evaluation
+    session, keyed on the free variables of the block and of the body
+    (`_key`). A block whose body `proves_monotone` cannot vouch for, or
+    whose bound terms mention its own variables, compiles as its raw
+    expansion."""
 
     zvars: tuple[str, ...]
     bounds: tuple[tuple[tuple[str, ...], BTerm], ...]
     body: "BooleanFormula"
+
+    def __post_init__(self) -> None:
+        own = set(self.zvars)
+        for meet_vars, _ in self.bounds:
+            if not meet_vars or not own.issuperset(meet_vars):
+                raise ValueError(f"a guarded bound must meet the block's own z only, not {meet_vars!r}")
 
     def expand_raw(self) -> "BooleanFormula":
         conj: list[BooleanFormula] = []
@@ -368,25 +375,23 @@ def _node(g: BNode) -> tuple[str, tuple[str, ...], Callable]:
 
 
 def _children(g: BNode) -> list:
-    """The direct subnodes of g, in print order, without building any
-    but the BVar leaves that stand for a guarded bound's meet variables."""
+    """The direct subnodes of g, in print order, without building any; a
+    guarded bound's child is its term, as its meet names only bound z."""
     out: list = []
     for name in _node(g)[1]:
         value = getattr(g, name)
         if name == "args":
             out += value
         elif name == "bounds":
-            for meet_vars, t in value:
-                out += map(BVar, meet_vars)
-                out.append(t)
+            out += (t for _, t in value)
         else:
             out.append(value)
     return out
 
 
 def _map_children(g: BNode, fn) -> BNode:
-    """g rebuilt with fn applied to each child; meet variables are names,
-    not terms, and stay as they are."""
+    """g rebuilt with fn applied to each child; a guarded bound's meet
+    names the block's own z, which no substitution reaches, and stays."""
     names = _node(g)[1]
     if not names:
         return g
@@ -466,16 +471,13 @@ def proves_monotone(f: BNode, names: Optional[Iterable[str]] = None) -> bool:
 
     NotZero, meet, join, and, or and the quantifiers keep polarity; BNot,
     BCompl and the left sides of TermLe and BImp flip it; TermEq reads both
-    sides both ways, and a guarded bound reads its meet variables as the
-    left side of <=. False means no proof, not a counterexample."""
+    sides both ways. False means no proof, not a counterexample."""
 
     def walk(g: BNode, sign: int, live: frozenset) -> bool:
         if isinstance(g, BVar):
             return sign == 1 or g.name not in live
         live = live.difference(_binders(g))
         signs = _SIGNS.get(type(g), itertools.repeat(1))
-        if isinstance(g, GuardedExists):
-            signs = [s for meet_vars, _ in g.bounds for s in (-1,) * len(meet_vars) + (1,)] + [1]
         return not live or all(walk(c, sign * s, live) for c, s in zip(_children(g), signs))
 
     return walk(f, 1, frozenset(free_bvars(f) if names is None else names))
@@ -552,28 +554,24 @@ def _key(slots: list) -> Callable:
 
 def _split(g: GuardedExists, d: BooleanFormula) -> BooleanFormula:
     """g with body d over the z free in d and the bounds meeting no other z
-    (exact: a dropped z at 0 meets its bounds at 0); no z left, a conjunction
-    of the bounds over free variables alone and d."""
+    (exact: a dropped z at 0 meets its bounds at 0); no z left, d."""
     dropped = set(g.zvars).difference(free_bvars(d))
     zs = tuple(z for z in g.zvars if z not in dropped)
-    part = GuardedExists(zs, tuple(b for b in g.bounds if dropped.isdisjoint(b[0])), d)
-    return part if zs else part.expand_raw()
+    if not zs:
+        return d
+    return GuardedExists(zs, tuple(b for b in g.bounds if dropped.isdisjoint(b[0])), d)
 
 
 def _caps(g: GuardedExists) -> Optional[dict]:
-    """Each z's cap: the meet over its bounds of t, or of t | ~meet(r) for
-    a bound whose meet also holds free variables r, as z & r <= t iff
-    z <= t | ~r; 1 with no bound. None where a bound meets two z, or where
-    a binder in the body would capture a name that a cap reads."""
+    """Each z's cap: the meet of the terms of its bounds, 1 with no bound.
+    None where a bound meets two z, or where a binder in the body would
+    capture a name that a cap reads."""
     caps: dict = dict.fromkeys(g.zvars, BOne())
     for meet_vars, t in g.bounds:
-        zs, rest = {v for v in meet_vars if v in caps}, [BVar(v) for v in meet_vars if v not in caps]
-        if len(zs) > 1:
+        if len(set(meet_vars)) > 1:
             return None
-        if zs:
-            (z,) = zs
-            t = BJoin(t, BCompl(functools.reduce(BMeet, rest))) if rest else t
-            caps[z] = t if caps[z] == BOne() else BMeet(caps[z], t)
+        z = meet_vars[0]
+        caps[z] = t if caps[z] == BOne() else BMeet(caps[z], t)
     binds = lambda h: set(_binders(h)).union(*map(binds, _children(h)))  # every name bound in h
     return caps if binds(g.body).isdisjoint(v for t in caps.values() for v in free_bvars(t)) else None
 
@@ -582,8 +580,8 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
     """A guarded block compiled (see GuardedExists), each rewrite compiled
     here again: split at an `or` body, the z its body does not read dropped,
     a block whose bounds meet one z each read at its caps; else the pruned
-    witness search behind a verdict memo, or the raw expansion where the
-    bounds mention z or pruning is not provably sound."""
+    witness search behind a verdict memo, or the raw expansion where a
+    bound's term names a z or pruning is not provably sound."""
     zset = set(g.zvars)
     own = any(zset.intersection(free_bvars(t)) for _, t in g.bounds)
     if isinstance(g.body, BOr) and not own:
@@ -592,27 +590,22 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
         return c.compile(_split(g, g.body))
     if own or not proves_monotone(g.body, zset):
         return c.compile(g.expand_raw())
-    rest = tuple(b for b in g.bounds if zset.isdisjoint(b[0]))  # the bounds over free variables alone
     caps = _caps(g)
-    capped = None if caps is None else subst_bvars(g.body, caps)
-    # each z ranges over the classes below its cap, and the body is monotone
-    # in z; a z left free (a nested bound's meet names it) keeps the search
-    if capped is not None and zset.isdisjoint(free_bvars(capped)):
-        return c.compile(GuardedExists((), rest, capped).expand_raw())
+    if caps is not None:  # each z ranges over the classes below its cap, and the body is monotone in z
+        return c.compile(subst_bvars(g.body, caps))
     body = c.compile(g.body)
-    if body in c.value:  # z at 0 meets every bound that names a z: the others and the body remain
-        return c.compile(GuardedExists((), rest, g.body).expand_raw())
+    if body in c.value:  # z at 0 meets every bound: the body remains
+        return body
     one = c.one
     down = [sum(1 << s for s in range(e + 1) if not s & ~e) for e in range(one + 1)]
     zs = [c.slot(z) for z in g.zvars]
     terms = [c.compile(t) for _, t in g.bounds]
     m = len(zs)
-    # per search level, the bounds it completes as (the other meet slots,
-    # bound index); level m holds the bounds over free variables alone
-    activated: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(m + 1)]
+    # per search level, the bounds it completes as (the other meet slots, bound index)
+    activated: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(m)]
     for bi, (meet_vars, _) in enumerate(g.bounds):
         ms = {c.slot(v) for v in meet_vars}
-        i = max((zs.index(s) for s in ms if s in zs), default=m)
+        i = max(zs.index(s) for s in ms)
         activated[i].append((tuple(ms.difference(zs[i : i + 1])), bi))
     body_key = _key([c.slot(v) for v in free_bvars(g.body)])
     verdict_key = _key([c.slot(v) for v in free_bvars(g)])  # the block's free variables alone
@@ -632,8 +625,6 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
                 out |= p & ~bvals[bi]
             return out
 
-        if forbidden(m):
-            return False
         values = env[0][body_at]
 
         def body_now() -> bool:
@@ -666,10 +657,10 @@ def _guarded(c: _Program, g: GuardedExists) -> Callable:
         saved = [env[s] for s in zs]
         for s in zs:
             env[s] = 0
-        out = body_now()  # z at 0 meets every bound that names a z
+        out = body_now()  # z at 0 meets every bound
         if not out:
             # each z variable's cap: the meet of its bounds on it alone
-            caps = [functools.reduce(int.__and__, (bvals[bi] for o, bi in act if not o), one) for act in activated[:m]]
+            caps = [functools.reduce(int.__and__, (bvals[bi] for o, bi in act if not o), one) for act in activated]
             for s, cap in zip(zs, caps):
                 env[s] = cap
             out = dfs(0)

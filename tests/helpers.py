@@ -1,20 +1,28 @@
 """Document readers and writers, a Boolean constant, the guarded-block
-expansion and the mutation hooks that only the tests use, kept out of the
-package."""
+expansion, the own-meet form of a general block and the mutation hooks
+that only the tests use, kept out of the package."""
 
+import functools
 import itertools
 from dataclasses import replace
 from typing import Mapping
 
 from fvlogic.boolean_ideals import (
     ATOMS,
+    BAnd,
+    BCompl,
+    BExists,
+    BJoin,
+    BMeet,
     BNot,
     BOne,
     BooleanFormula,
+    BVar,
     BZero,
     GuardedExists,
     NotZero,
     TermEq,
+    TermLe,
     _children,
     _map_children,
     ideal_to_json,
@@ -56,6 +64,32 @@ def expand_guarded(f: BooleanFormula) -> BooleanFormula:
     if isinstance(f, ATOMS):
         return f
     return _map_children(f, expand_guarded)
+
+
+def own_meet_form(zvars, bounds, body, raw_body=None) -> tuple[BooleanFormula, BooleanFormula]:
+    """A general guarded block, whose bound ((v1..vk), t) may meet free
+    variables and outer z, as two formulas: its own-meet form, which moves
+    each meet's names r outside zvars into the term, z & r <= t as
+    z <= t | ~r, and a bound with no z outside the block as meet(r) <= t;
+    and the general block's raw expansion, exists zvars (and of
+    meet(v1..vk) <= t, raw_body), built by hand. raw_body defaults to body
+    with its guarded blocks expanded."""
+    meet = lambda names: functools.reduce(BMeet, map(BVar, names))
+    own: list = []
+    outside: list[BooleanFormula] = []
+    for names, t in bounds:
+        zs = tuple(v for v in names if v in zvars)
+        rest = [v for v in names if v not in zvars]
+        if not zs:
+            outside.append(TermLe(meet(rest), t))
+        else:
+            own.append((zs, BJoin(t, BCompl(meet(rest))) if rest else t))
+    block = GuardedExists(tuple(zvars), tuple(own), body)
+    raw_body = expand_guarded(body) if raw_body is None else raw_body
+    raw: BooleanFormula = BAnd((*(TermLe(meet(names), t) for names, t in bounds), raw_body))
+    for z in reversed(zvars):
+        raw = BExists(z, raw)
+    return (BAnd((*outside, block)) if outside else block), raw
 
 
 def count_atoms(sigma: BooleanFormula) -> int:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -48,7 +49,7 @@ from fvlogic.boolean_ideals import (
     trivial_ideal,
 )
 from fvlogic.syntax import normalize_restricted
-from helpers import b_true, expand_guarded
+from helpers import b_true, expand_guarded, own_meet_form
 
 
 def fs(*items):
@@ -302,6 +303,23 @@ def BJoinSample():
 # --------------------------------------------------------------------------
 # guarded blocks agree with their raw expansion
 
+# the general blocks' raw expansions, keyed on their own-meet forms
+GENERAL_RAW: dict = {}
+
+
+def general(zvars, bounds, body, raw_body=None) -> BooleanFormula:
+    """The own-meet form of a general block (helpers.own_meet_form), whose
+    raw expansion is kept in GENERAL_RAW as its oracle."""
+    g, raw = own_meet_form(zvars, bounds, body, raw_body)
+    GENERAL_RAW[g] = raw
+    return g
+
+
+def oracle(f: BooleanFormula) -> BooleanFormula:
+    """f with its guarded blocks expanded; a block built by `general`
+    expands as the general block it came from."""
+    return GENERAL_RAW.get(f) or expand_guarded(f)
+
 
 GUARDED_SHAPES = [
     GuardedExists(("z1",), ((("z1",), BVar("y1")),), NotZero(BVar("z1"))),
@@ -373,9 +391,9 @@ GUARDED_SHAPES = [
             )
         ),
     ),
-    # a disjunct with no z: its part is the plain conjunction of the bound
-    # over free variables alone and the disjunct
-    GuardedExists(
+    # a disjunct with no z: its part is the disjunct; the bound over free
+    # variables alone sits outside the block in its own-meet form
+    general(
         ("z1",),
         ((("z1",), BVar("y1")), (("y2",), BVar("y3"))),
         BOr((NotZero(BMeet(BVar("z1"), BVar("y2"))), TermEq(BVar("y1"), BOne()))),
@@ -417,13 +435,13 @@ GUARDED_SHAPES = [
         BAnd((NotZero(BVar("z1")), NotZero(BVar("z2")))),
     ),
     # the joint bound also meets a free variable, and z2 has no bound of its own
-    GuardedExists(
+    general(
         ("z1", "z2"),
         ((("z1",), BVar("y1")), (("z1", "z2", "y3"), BCompl(BVar("y2")))),
         BAnd((NotZero(BMeet(BVar("z1"), BVar("y2"))), TermLe(BVar("y3"), BJoin(BVar("z1"), BVar("z2"))))),
     ),
     # a bound over free variables alone next to the joint one
-    GuardedExists(
+    general(
         ("z1", "z2"),
         ((("y1",), BVar("y2")), (("z1", "z2"), BVar("y1")), (("z2",), BCompl(BVar("y3")))),
         NotZero(BMeet(BJoin(BVar("z1"), BVar("y3")), BVar("z2"))),
@@ -461,11 +479,12 @@ GUARDED_SHAPES = [
 
 
 # blocks whose body holds at z = 0 on some assignments only, one of them
-# under a bound over free variables alone that the probe must not skip
+# under a bound over free variables alone, which its own-meet form checks
+# outside the block
 _y1, _y2, _y3, _z1, _z2 = map(BVar, ("y1", "y2", "y3", "z1", "z2"))
 PROBE_BLOCKS = [
     GuardedExists(("z1",), ((("z1",), _y1),), TermLe(_y2, BJoin(_z1, _y3))),
-    GuardedExists(("z1",), ((("z1",), _y1), (("y1",), _y2)), TermLe(_y3, BJoin(_z1, _y3))),
+    general(("z1",), ((("z1",), _y1), (("y1",), _y2)), TermLe(_y3, BJoin(_z1, _y3))),
     GuardedExists(
         ("z1", "z2"),
         ((("z1",), _y1), (("z1", "z2"), _y2)),
@@ -483,7 +502,7 @@ def test_guarded_matches_raw_expansion(g):
         quotient(trivial_ideal((1, 2, 3))),
     ]
     names = free_bvars(g)
-    raw = expand_guarded(g)
+    raw = oracle(g)
     for B in algebras:
         # one session for every assignment, as is_monotone runs them: the
         # verdict and body memos must key on every free variable of the
@@ -507,6 +526,31 @@ def _bterms(leaves):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _guarded_blocks(n: int):
+    """guarded_blocks over n z variables, built and validated once per n."""
+    zs = tuple(f"z{i}" for i in range(n))
+    ys = [BVar("y1"), BVar("y2"), BZero(), BOne()]
+    bound = hs.tuples(hs.lists(hs.sampled_from(zs), min_size=1, max_size=2, unique=True).map(tuple), _bterms(ys))
+    t = _bterms([BVar(z) for z in zs] + ys)
+    atom = hs.one_of(hs.builds(NotZero, t), hs.builds(TermLe, t, t), hs.builds(TermEq, t, t))
+    conj = hs.lists(hs.one_of(atom, hs.builds(BNot, atom)), min_size=1, max_size=3).map(lambda a: BAnd(tuple(a)))
+    reach = hs.builds(lambda op, z, y: op(BVar(z), y), hs.sampled_from((BMeet, BJoin)), hs.sampled_from(zs), hs.sampled_from(ys[:2]))
+    w = _bterms([BVar("w"), BVar(zs[0])] + ys)
+    inner = hs.one_of(hs.builds(NotZero, w), hs.builds(BNot, hs.builds(NotZero, w)), hs.builds(TermLe, w, w))
+    nested = hs.builds(lambda b, a: GuardedExists(("w",), ((("w",), b),), a), reach, inner)
+    body = hs.one_of(
+        atom,
+        hs.builds(BNot, atom),
+        hs.builds(lambda a, b: BAnd((a, b)), atom, atom),
+        hs.builds(lambda a, b: BOr((a, b)), atom, atom),
+        hs.lists(conj, min_size=2, max_size=4).map(lambda d: BOr(tuple(d))),
+        nested,
+        hs.builds(lambda a, b: BAnd((a, b)), atom, nested),
+    )
+    return hs.builds(GuardedExists, hs.just(zs), hs.lists(bound, max_size=3).map(tuple), body)
+
+
 @hs.composite
 def guarded_blocks(draw):
     """A GuardedExists block over 1-3 z variables and the free y1, y2. Each
@@ -514,28 +558,17 @@ def guarded_blocks(draw):
     body is an atom, a negated atom, a junction of two atoms, or an `or` of
     2-4 conjunctions of 1-3 atoms or negated atoms, over the z and y
     variables, so it may or may not be monotone in z and an `or` body's
-    disjuncts may mention any subset of the z variables."""
-    zs = tuple(f"z{i}" for i in range(draw(hs.integers(1, 3))))
-    ys = [BVar("y1"), BVar("y2"), BZero(), BOne()]
-    bound = hs.tuples(hs.lists(hs.sampled_from(zs), min_size=1, max_size=2, unique=True).map(tuple), _bterms(ys))
-    t = _bterms([BVar(z) for z in zs] + ys)
-    atom = hs.one_of(hs.builds(NotZero, t), hs.builds(TermLe, t, t), hs.builds(TermEq, t, t))
-    conj = hs.lists(hs.one_of(atom, hs.builds(BNot, atom)), min_size=1, max_size=3).map(lambda a: BAnd(tuple(a)))
-    body = hs.one_of(
-        atom,
-        hs.builds(BNot, atom),
-        hs.builds(lambda a, b: BAnd((a, b)), atom, atom),
-        hs.builds(lambda a, b: BOr((a, b)), atom, atom),
-        hs.lists(conj, min_size=2, max_size=4).map(lambda d: BOr(tuple(d))),
-    )
-    return GuardedExists(zs, tuple(draw(hs.lists(bound, max_size=3))), draw(body))
+    disjuncts may mention any subset of the z variables. The body may also
+    be, or conjoin to an atom, a nested block over w whose bound term reads
+    an outer z and a free y, and whose body is an atom over w, z0 and y."""
+    return draw(_guarded_blocks(draw(hs.integers(1, 3))))
 
 
 @settings(max_examples=150)
 @given(guarded_blocks())
 def test_guarded_property_matches_raw_expansion(g):
     names = free_bvars(g)
-    raw = g.expand_raw()
+    raw = expand_guarded(g)
     for B in (quotient(trivial_ideal((1,))), quotient(trivial_ideal((1, 2)))):
         prog = bi._Program(g, len(B.core))
         session = prog.session()
@@ -546,6 +579,38 @@ def test_guarded_property_matches_raw_expansion(g):
             for s, X in zip(prog.free, combo):
                 session[s] = B.mask(X)
             assert prog.run(session) == want, (B.core, env)
+
+
+def term_value(B: QuotientBA, t: BTerm, env: Mapping[str, frozenset]) -> frozenset:
+    """The class that term t takes at env."""
+    return next(X for X in B.elements if reference_ba_eval(B, TermEq(BVar("_"), t), {**env, "_": X}))
+
+
+@settings(max_examples=60)
+@given(guarded_blocks(), _bterms([BVar("y1"), BVar("y2"), BVar("y3"), BZero(), BOne()]))
+def test_subst_bvars_reads_the_substituted_term(g, t):
+    # the substitution lemma: g with y1 := t at env is g at env with y1 at t's value
+    h = subst_bvars(g, {"y1": t})
+    B = quotient(trivial_ideal((1, 2)))
+    for combo in itertools.product(B.elements, repeat=3):
+        env = dict(zip(("y1", "y2", "y3"), combo))
+        at_t = {**env, "y1": term_value(B, t, env)}
+        want = ba_eval(B, g, {v: at_t[v] for v in free_bvars(g)})
+        assert ba_eval(B, h, {v: env[v] for v in free_bvars(h)}) == want, (to_prefix(h), env)
+
+
+@settings(max_examples=60)
+@given(guarded_blocks(), _bterms([BVar("y2"), BVar("y3"), BZero(), BOne()]))
+def test_free_bvars_bind_every_variable_evaluation_reads(g, t):
+    # binding exactly free_bvars never leaves a read variable unbound, in a
+    # block and in its substitution
+    B = quotient(trivial_ideal((1, 2)))
+    for f in (g, subst_bvars(g, {"y1": t})):
+        names = free_bvars(f)
+        raw = expand_guarded(f)
+        for combo in itertools.product(B.elements, repeat=len(names)):
+            env = dict(zip(names, combo))
+            assert ba_eval(B, f, env) == reference_ba_eval(B, raw, env), (to_prefix(f), env)
 
 
 def test_proves_monotone_reads_polarity():
@@ -559,8 +624,11 @@ def test_proves_monotone_reads_polarity():
     assert proves_monotone(BNot(BNot(NotZero(y))))
     assert proves_monotone(BImp(TermLe(y, BZero()), NotZero(z)))
     assert proves_monotone(BForall("y", BAnd((TermEq(y, y), NotZero(z)))))
-    # a guarded bound reads its meet variables as the left side of <=
-    assert not proves_monotone(GuardedExists(("z",), ((("z", "y"), BZero()),), NotZero(z)))
+    # a meet that names a free variable is refused; its own-meet form
+    # z <= 0 | ~y reads y under a complement, so it still has no proof
+    with pytest.raises(ValueError, match="own z"):
+        GuardedExists(("z",), ((("z", "y"), BZero()),), NotZero(z))
+    assert not proves_monotone(GuardedExists(("z",), ((("z",), BJoin(BZero(), BCompl(y))),), NotZero(z)))
     assert proves_monotone(GuardedExists(("z",), ((("z",), y),), NotZero(z)))
     assert not proves_monotone(GUARDED_SHAPES[6].body, ["z"])
 
@@ -578,6 +646,30 @@ def test_bound_variables_do_not_leak_out_of_their_scope():
         assert ba_eval(B, f, env) == want, env
         hits += want
     assert hits == 1
+
+
+def test_guarded_bounds_meet_only_their_own_z():
+    y1, y2, y3, z, w = map(BVar, ("y1", "y2", "y3", "z", "w"))
+    # a free variable in a meet, an outer z in a nested meet, an empty meet
+    with pytest.raises(ValueError, match="own z"):
+        GuardedExists(("z",), ((("z", "y1"), y2),), NotZero(z))
+    with pytest.raises(ValueError, match="own z"):
+        GuardedExists(("z",), ((("z",), y2),), BNot(GuardedExists(("w",), ((("w", "z"), BZero()),), NotZero(w))))
+    with pytest.raises(ValueError, match="own z"):
+        GuardedExists(("z",), (((), y1),), NotZero(z))
+    # exists z (z & y1 <= y2) . ne0(z) in its own-meet form, with y1 := ~y3,
+    # against the general block's raw expansion under the same substitution
+    g, raw = own_meet_form(("z",), ((("z", "y1"), y2),), NotZero(z))
+    assert g == GuardedExists(("z",), ((("z",), BJoin(y2, BCompl(y1))),), NotZero(z))
+    h = subst_bvars(g, {"y1": BCompl(y3)})
+    raw = subst_bvars(raw, {"y1": BCompl(y3)})
+    assert free_bvars(h) == ("y2", "y3")
+    B = quotient(trivial_ideal((1, 2)))
+    combos = list(itertools.product(B.elements, repeat=2))
+    assert len(combos) == 16
+    for combo in combos:
+        env = dict(zip(("y2", "y3"), combo))
+        assert ba_eval(B, h, env) == reference_ba_eval(B, raw, env), env
 
 
 def test_guarded_without_bounds_is_plain_exists():
@@ -876,7 +968,7 @@ def folding_formulas():
         GuardedExists(("z",), ((("z",), BOne()),), BAnd((NotZero(BMeet(z, y)), t))),
         GuardedExists(("z",), ((("z",), y),), BOr((NotZero(BMeet(z, x)), f))),
         GuardedExists(("z",), ((("z",), y),), BOr((NotZero(BMeet(z, x)), NotZero(BOne())))),
-        GuardedExists(("z",), ((("z",), BMeet(y, BOne())), (("x",), BJoin(BZero(), y))), NotZero(z)),
+        general(("z",), ((("z",), BMeet(y, BOne())), (("x",), BJoin(BZero(), y))), NotZero(z)),
     ]
 
 
@@ -885,7 +977,7 @@ def test_folded_constants_match_reference():
         B = quotient(trivial_ideal(tuple(range(size))))
         for f in folding_formulas():
             names = free_bvars(f)
-            raw = expand_guarded(f)
+            raw = oracle(f)
             for combo in itertools.product(B.elements, repeat=len(names)):
                 env = dict(zip(names, combo))
                 verdict = ba_eval(B, f, env)
@@ -1183,21 +1275,22 @@ def test_closed_formulas_agree_on_isomorphic_quotients():
 
 def folding_blocks():
     """Guarded blocks whose body folds to a constant, with and without
-    bounds over free variables alone, and blocks nested like the
-    translator's: an outer block whose body is an inner block over `1`."""
+    bounds over free variables alone (which the own-meet form conjoins
+    outside the block), and blocks nested like the translator's: an outer
+    block whose body is an inner block over `1`."""
     y1, y2, y3, z1, z2, w1, w2 = map(BVar, ("y1", "y2", "y3", "z1", "z2", "w1", "w2"))
     z_bounds = ((("z1",), y1), (("z2",), BCompl(y2)), (("z1", "z2"), y3))
     free_bounds = ((("y1",), y2), (("y2", "y3"), BCompl(y1)))
     bodies = [b_true(), NotZero(BOne()), b_false(), NotZero(BZero()), BAnd((NotZero(BOne()), TermLe(BZero(), BOne())))]
-    out = [GuardedExists(("z1", "z2"), bounds, body) for body in bodies for bounds in (z_bounds, z_bounds + free_bounds, ())]
+    out = [general(("z1", "z2"), bounds, body) for body in bodies for bounds in (z_bounds, z_bounds + free_bounds, ())]
     # the inner block's bounds all name its own variables, so it is `1`,
-    # and the outer block keeps only its bounds over free variables
+    # and what is left is the bounds over free variables outside the block
     inner = GuardedExists(("w1", "w2"), ((("w1",), z1), (("w2",), z2), (("w1", "w2"), BMeet(z1, y2))), NotZero(BOne()))
     for bounds in (z_bounds, z_bounds + free_bounds):
-        out.append(GuardedExists(("z1", "z2"), bounds, inner))
-        out.append(GuardedExists(("z1", "z2"), bounds, BAnd((inner, inner))))
+        out.append(general(("z1", "z2"), bounds, inner))
+        out.append(general(("z1", "z2"), bounds, BAnd((inner, inner))))
     # an inner block over a false body makes the outer one false
-    out.append(GuardedExists(("z1", "z2"), z_bounds + free_bounds, GuardedExists(inner.zvars, inner.bounds, b_false())))
+    out.append(general(("z1", "z2"), z_bounds + free_bounds, GuardedExists(inner.zvars, inner.bounds, b_false())))
     return out
 
 
@@ -1209,7 +1302,7 @@ def test_constant_guarded_bodies_fold_and_match_reference():
             # folded at compile time: no block is searched
             assert prog.memos == 0, to_prefix(g)
             names = free_bvars(g)
-            raw = expand_guarded(g)
+            raw = oracle(g)
             for combo in itertools.product(B.elements, repeat=len(names)):
                 env = dict(zip(names, combo))
                 assert ba_eval(B, g, env) == reference_ba_eval(B, raw, env), (size, to_prefix(g), env)
@@ -1223,9 +1316,10 @@ def test_is_monotone_on_a_formula_that_folds_runs_nothing(monkeypatch):
     monkeypatch.setattr(bi, "_Program", _Budget)
     monkeypatch.setattr(_Budget, "limit", 0)
     ys = [NotZero(BVar(f"y{i}")) for i in range(10)]
-    # the blocks with no bound over free variables alone fold to constants;
-    # the last two formulas have 10 variables, so they would be sampled
-    blocks = [g for g in folding_blocks() if all({"z1", "z2"} & set(m) for m, _ in g.bounds)]
+    # the blocks with no bound over free variables alone, which the own-meet
+    # form would conjoin outside the block, fold to constants; the last two
+    # formulas have 10 variables, so they would be sampled
+    blocks = [g for g in folding_blocks() if isinstance(g, GuardedExists)]
     formulas = blocks + [BAnd((ys[0], b_false())), BAnd((*ys, b_false())), BOr((*ys, b_true()))]
     assert len(formulas) == 15
     for k in (1, 3):
@@ -1330,10 +1424,10 @@ def test_memo_keys_at_the_widest_core():
 
 
 def rewrite_blocks(rng: random.Random, count: int) -> list:
-    """Seeded guarded blocks over 1-3 z and the free y1, y2. A bound meets
-    one z, one z and a free variable, no z, or two z; the body is an atom or
-    a conjunction of atoms, monotone in z, that may skip some z, and may
-    nest a block whose bound reads an outer z."""
+    """Seeded guarded blocks over 1-3 z and the free y1, y2, in own-meet form
+    (`general`). A bound meets one z, one z and a free variable, no z, or
+    two z; the body is an atom or a conjunction of atoms, monotone in z,
+    that may skip some z, and may nest a block whose bound reads an outer z."""
     y1, y2 = BVar("y1"), BVar("y2")
     yterms = [y1, y2, BCompl(y1), BMeet(y1, y2), BJoin(y1, BCompl(y2)), BOne(), BZero()]
     out = []
@@ -1363,7 +1457,7 @@ def rewrite_blocks(rng: random.Random, count: int) -> list:
             w = BVar("w")
             inner = ((("w",), BJoin(BVar(rng.choice(zs)), rng.choice(yterms))),)
             atoms.append(GuardedExists(("w",), inner, NotZero(BMeet(w, rng.choice(yterms)))))
-        out.append(GuardedExists(tuple(zs), tuple(bounds), BAnd(tuple(atoms)) if len(atoms) > 1 else atoms[0]))
+        out.append(general(tuple(zs), tuple(bounds), BAnd(tuple(atoms)) if len(atoms) > 1 else atoms[0]))
     return out
 
 
@@ -1371,11 +1465,12 @@ def test_rewritten_blocks_match_reference():
     # the capture case: the body binds y1, which z's cap y2 | ~y1 reads,
     # so the block keeps its search
     y1, y2, z = BVar("y1"), BVar("y2"), BVar("z")
-    capture = GuardedExists(("z",), ((("z", "y1"), y2),), BExists("y1", BAnd((NotZero(BMeet(z, y1)), TermLe(y1, y2)))))
-    # a nested bound's meet names the outer z, which a cap cannot replace
-    # there, so the outer block keeps its search: the block is y1 <= y2
-    inner = GuardedExists(("w",), ((("w", "z"), BZero()),), NotZero(BMeet(BVar("w"), y1)))
-    nested_meet = GuardedExists(("z",), ((("z",), y2),), BNot(inner))
+    capture = general(("z",), ((("z", "y1"), y2),), BExists("y1", BAnd((NotZero(BMeet(z, y1)), TermLe(y1, y2)))))
+    # a nested meet over the outer z: in own-meet form the inner bound is
+    # w <= 0 | ~z, a term that a cap replaces, so the outer block is read at
+    # its cap with no search: the block is y1 <= y2
+    inner = general(("w",), ((("w", "z"), BZero()),), NotZero(BMeet(BVar("w"), y1)))
+    nested_meet = general(("z",), ((("z",), y2),), BNot(inner), BNot(oracle(inner)))
     blocks = rewrite_blocks(random.Random(24), 120) + [capture, nested_meet]
     searched = 0
     for size in (1, 2, 3):
@@ -1385,7 +1480,7 @@ def test_rewritten_blocks_match_reference():
             searched += prog.memos > 0
             session = prog.session()
             names = free_bvars(g)
-            raw = expand_guarded(g)
+            raw = oracle(g)
             for combo in itertools.product(B.elements, repeat=len(names)):
                 env = dict(zip(names, combo))
                 want = reference_ba_eval(B, raw, env)
@@ -1394,7 +1489,7 @@ def test_rewritten_blocks_match_reference():
                     session[s] = B.mask(X)
                 assert prog.run(session) == want, (size, to_prefix(g), env)
         assert bi._Program(capture, size).memos == 2
-        assert bi._Program(nested_meet, size).memos == 2
+        assert bi._Program(nested_meet, size).memos == 0
     # the seeded blocks take every route: some are searched, most are not
     assert 3 < searched < 3 * len(blocks) // 2
 
